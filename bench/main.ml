@@ -92,7 +92,7 @@ let e1_stack_assembly () =
     let resolved = Spec.resolve spec in
     Horus_hcpi.Stack.create ~engine ~endpoint:(Addr.endpoint 0) ~group:(Addr.group 0)
       ~prng:(Horus_util.Prng.create 1)
-      ~transport:{ Horus_hcpi.Layer.xmit = (fun ~dst:_ _ -> ()); local_node = 0; mtu = 65536 }
+      ~transport:{ Horus_hcpi.Layer.xmit = (fun ~dsts:_ _ -> ()); local_node = 0; mtu = 65536 }
       ~rendezvous:Horus_hcpi.Layer.null_rendezvous ?metrics
       ~trace:(fun ~layer:_ ~category:_ _ -> ())
       ~to_app:(fun _ -> ())
@@ -132,7 +132,7 @@ let bare_stack ?(skip_inert = false) ~noops () =
   let resolved = Spec.resolve (Spec.parse spec_string) in
   Horus_hcpi.Stack.create ~engine ~endpoint:(Addr.endpoint 0) ~group:(Addr.group 0)
     ~prng:(Horus_util.Prng.create 1)
-    ~transport:{ Horus_hcpi.Layer.xmit = (fun ~dst:_ _ -> ()); local_node = 0; mtu = 65536 }
+    ~transport:{ Horus_hcpi.Layer.xmit = (fun ~dsts:_ _ -> ()); local_node = 0; mtu = 65536 }
     ~rendezvous:Horus_hcpi.Layer.null_rendezvous ~skip_inert
     ~trace:(fun ~layer:_ ~category:_ _ -> ())
     ~to_app:(fun _ -> ())

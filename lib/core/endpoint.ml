@@ -17,7 +17,8 @@ open Horus_msg
 type attachment = {
   a_kind : string;  (* "sim", "udp", "loopback" — for diagnostics *)
   a_mtu : int;
-  a_xmit : gid:int -> dst:Addr.endpoint -> Bytes.t -> unit;
+  a_xmit : gid:int -> dsts:Addr.endpoint list -> Bytes.t -> unit;
+      (* one datagram to each of [dsts], framed once *)
   a_crash : unit -> unit;
 }
 
@@ -63,15 +64,18 @@ let sim_attachment t =
   Horus_sim.Net.attach net ~node (fun ~src payload ->
       if Bytes.length payload >= 4 then begin
         let gid = Int32.to_int (Bytes.get_int32_be payload 0) in
-        let body = Bytes.sub payload 4 (Bytes.length payload - 4) in
-        deliver t ~gid ~src (Msg.of_bytes body)
+        deliver t ~gid ~src (Msg.of_sub payload ~off:4 ~len:(Bytes.length payload - 4))
       end);
   { a_kind = "sim";
     a_mtu = (Horus_sim.Net.config net).Horus_sim.Net.mtu;
     a_xmit =
-      (fun ~gid ~dst payload ->
-         Horus_sim.Net.send net ~src:node ~dst:(Addr.endpoint_id dst)
-           (frame_gid gid payload));
+      (fun ~gid ~dsts payload ->
+         (* The net never mutates a datagram (garbling works on a
+            copy), so every destination shares one framed buffer. *)
+         let frame = frame_gid gid payload in
+         List.iter
+           (fun dst -> Horus_sim.Net.send net ~src:node ~dst:(Addr.endpoint_id dst) frame)
+           dsts);
     a_crash = (fun () -> Horus_sim.Net.crash net ~node) }
 
 let create ?addr ?attach world ~spec =
@@ -90,7 +94,7 @@ let create ?addr ?attach world ~spec =
            observable because [create] replaces it before returning *)
         { a_kind = "none";
           a_mtu = 0;
-          a_xmit = (fun ~gid:_ ~dst:_ _ -> ());
+          a_xmit = (fun ~gid:_ ~dsts:_ _ -> ());
           a_crash = (fun () -> ()) };
       crashed = false;
       on_crash = [];
@@ -131,7 +135,7 @@ let add_crash_hook t f = t.on_crash <- f :: t.on_crash
 (* The per-group transport handed to the stack's bottom layer: frames
    outgoing packets with the group id. *)
 let transport t ~gid : Horus_hcpi.Layer.transport =
-  { Horus_hcpi.Layer.xmit = (fun ~dst payload -> t.attachment.a_xmit ~gid ~dst payload);
+  { Horus_hcpi.Layer.xmit = (fun ~dsts payload -> t.attachment.a_xmit ~gid ~dsts payload);
     local_node = node t;
     mtu = t.attachment.a_mtu }
 

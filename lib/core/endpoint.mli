@@ -14,11 +14,13 @@ type t
 type attachment = {
   a_kind : string;  (** ["sim"], ["udp"], ["loopback"] — diagnostics *)
   a_mtu : int;
-  a_xmit : gid:int -> dst:Addr.endpoint -> Bytes.t -> unit;
+  a_xmit : gid:int -> dsts:Addr.endpoint list -> Bytes.t -> unit;
   a_crash : unit -> unit;
 }
 (** How packets leave the endpoint and what happens when it crashes.
-    Incoming packets come back through {!deliver}. *)
+    [a_xmit] sends one datagram to each of [dsts] and may share one
+    framed buffer among them; the payload is never mutated. Incoming
+    packets come back through {!deliver}. *)
 
 val create : ?addr:Addr.endpoint -> ?attach:(t -> attachment) -> World.t -> spec:string -> t
 (** [create world ~spec] allocates an address, attaches to the world's

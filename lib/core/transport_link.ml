@@ -26,8 +26,10 @@
    [inject], the mailbox-side entry into the same demux. When the
    backend offers a batched rx path, the link also installs a
    zero-copy [rx_view] (decoding straight out of the backend's buffer
-   ring via [Frame.decode_sub]); the plain rx callback stays installed
-   for scalar drains.
+   ring via [Frame.decode_view]); the plain rx callback stays installed
+   for scalar drains. Either way the payload is copied exactly once,
+   into the stack's [Msg]; going out, a datagram is framed once and the
+   same bytes go to every destination.
 
    Frames whose gid matches no local group (and no router takes) are
    dropped and counted in the [transport.unknown_gid] metric; garbled
@@ -80,18 +82,21 @@ let unknown_gid t = t.unknown_gid
 
 (* Demux one decoded frame: a raw route, the owning endpoint from the
    group table, the legacy default endpoint, or — for a sharded
-   process — the shard router's forward. [raw] materializes the whole
-   frame only when the router actually needs it (on the zero-copy rx
-   path the frame is a view into a reusable ring, so forwarding is
-   where the copy happens, and only then). *)
-let dispatch t mux ~src ~raw hdr payload =
+   process — the shard router's forward. The payload is bytes
+   [poff .. poff + plen) of [buf]; it is copied out once, into whatever
+   consumes it. [raw] materializes the whole frame only when the router
+   actually needs it (on the zero-copy rx path the frame is a view into
+   a reusable ring, so forwarding is where the copy happens, and only
+   then). *)
+let dispatch t mux ~src ~raw hdr buf poff plen =
   let gid = Addr.group_id hdr.T.Frame.h_group in
   match Hashtbl.find_opt mux.mx_raw gid with
-  | Some handler -> handler ~src payload
+  | Some handler -> handler ~src (Bytes.sub buf poff plen)
   | None -> (
     let eid = Addr.endpoint_id hdr.T.Frame.h_src in
     let deliver endpoint =
-      if not (Endpoint.deliver_routed endpoint ~gid ~src:eid (Msg.of_bytes payload))
+      if not
+           (Endpoint.deliver_routed endpoint ~gid ~src:eid (Msg.of_sub buf ~off:poff ~len:plen))
       then t.unknown_gid <- t.unknown_gid + 1
     in
     match Hashtbl.find_opt mux.mx_groups gid with
@@ -114,17 +119,17 @@ let dispatch t mux ~src ~raw hdr payload =
 let install_rx t mux =
   let stats = mux.mx_backend.T.Backend.stats in
   let on_rx ~src frame =
-    match T.Frame.decode frame with
-    | Ok (hdr, payload) -> dispatch t mux ~src ~raw:(fun () -> frame) hdr payload
+    match T.Frame.decode_view frame ~off:0 ~len:(Bytes.length frame) with
+    | Ok (hdr, poff, plen) -> dispatch t mux ~src ~raw:(fun () -> frame) hdr frame poff plen
     | Error _ -> stats.T.Backend.bad_frame <- stats.T.Backend.bad_frame + 1
   in
   mux.mx_inject <- on_rx;
   mux.mx_backend.T.Backend.set_rx on_rx;
   ignore
     (T.Backend.set_rx_view mux.mx_backend (fun ~src ~buf ~off ~len ->
-         match T.Frame.decode_sub buf ~off ~len with
-         | Ok (hdr, payload) ->
-           dispatch t mux ~src ~raw:(fun () -> Bytes.sub buf off len) hdr payload
+         match T.Frame.decode_view buf ~off ~len with
+         | Ok (hdr, poff, plen) ->
+           dispatch t mux ~src ~raw:(fun () -> Bytes.sub buf off len) hdr buf poff plen
          | Error _ -> stats.T.Backend.bad_frame <- stats.T.Backend.bad_frame + 1))
 
 let mux t ~backend ~peers =
@@ -186,13 +191,18 @@ let attach_mux _t mux endpoint : Endpoint.attachment =
   { Endpoint.a_kind = backend.T.Backend.kind;
     a_mtu = backend.T.Backend.mtu - T.Frame.overhead;
     a_xmit =
-      (fun ~gid ~dst payload ->
-         match T.Peers.find mux.mx_peers ~rank:(Addr.endpoint_id dst) with
-         | Some dest ->
-           backend.T.Backend.send ~dest
-             (T.Frame.encode ~src:(Endpoint.addr endpoint) ~group:(Addr.group gid)
-                payload)
-         | None -> stats.T.Backend.dropped <- stats.T.Backend.dropped + 1);
+      (fun ~gid ~dsts payload ->
+         (* Backends treat sent bytes as immutable, so one frame serves
+            every destination. *)
+         let frame =
+           T.Frame.encode ~src:(Endpoint.addr endpoint) ~group:(Addr.group gid) payload
+         in
+         List.iter
+           (fun dst ->
+              match T.Peers.find mux.mx_peers ~rank:(Addr.endpoint_id dst) with
+              | Some dest -> backend.T.Backend.send ~dest frame
+              | None -> stats.T.Backend.dropped <- stats.T.Backend.dropped + 1)
+           dsts);
     a_crash =
       (fun () ->
          List.iter

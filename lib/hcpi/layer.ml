@@ -12,9 +12,11 @@
 open Horus_msg
 
 (* Best-effort datagram transport under the stack ("ATM" in the
-   paper's example). Only bottom adapter layers use it. *)
+   paper's example). Only bottom adapter layers use it. One call hands
+   one datagram to every destination, so the transport frames it once;
+   the bytes are the transport's from then on and are never mutated. *)
 type transport = {
-  xmit : dst:Addr.endpoint -> Bytes.t -> unit;
+  xmit : dsts:Addr.endpoint list -> Bytes.t -> unit;
   local_node : int;
   mtu : int;
 }

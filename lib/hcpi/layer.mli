@@ -7,12 +7,15 @@
 open Horus_msg
 
 type transport = {
-  xmit : dst:Addr.endpoint -> Bytes.t -> unit;
+  xmit : dsts:Addr.endpoint list -> Bytes.t -> unit;
   local_node : int;
   mtu : int;
 }
 (** Best-effort datagram transport under the stack; used only by
-    bottom adapter layers such as COM. *)
+    bottom adapter layers such as COM. [xmit ~dsts payload] sends one
+    datagram to each of [dsts]: the transport frames it once and may
+    share the framed bytes across destinations, so the caller hands
+    [payload] over and must not mutate it afterwards. *)
 
 type rendezvous = {
   announce : Addr.group -> Addr.endpoint -> unit;

@@ -2,8 +2,9 @@
 
    COM translates the raw best-effort network (property P1) into the
    Common Protocol Interface. Going down, it stamps each message with a
-   small envelope — magic, length, kind, source endpoint — and unicasts
-   a copy to every destination. Coming up, it verifies the envelope
+   small envelope — magic, length, kind, source endpoint — serialises
+   it once, and hands that one datagram to the transport for every
+   destination. Coming up, it verifies the envelope
    (P10: gross corruption, truncation and byte reordering are caught by
    the magic/length check), recovers the source address (P11), filters
    casts from endpoints outside the current destination set, and
@@ -30,6 +31,7 @@ type state = {
   filter : bool;          (* drop casts from non-members *)
   loopback : bool;        (* deliver own casts locally, without the net *)
   mutable dests : Addr.endpoint array;  (* current destination set *)
+  mutable peers : Addr.endpoint list;   (* [dests] without ourselves *)
   mutable sent : int;
   mutable received : int;
   mutable rejected : int; (* bad envelope *)
@@ -46,9 +48,16 @@ let push_envelope t ~kind m =
   Msg.push_u16 m (Msg.length m land 0xffff);
   Msg.push_u16 m magic
 
-let transmit t m dst =
-  t.sent <- t.sent + 1;
-  t.env.Layer.transport.Layer.xmit ~dst (Msg.to_bytes m)
+let set_dests t dests =
+  let self = t.env.Layer.endpoint in
+  t.dests <- dests;
+  t.peers <- List.filter (fun d -> not (Addr.equal_endpoint d self)) (Array.to_list dests)
+
+let xmit t ~dsts wire =
+  if dsts <> [] then begin
+    t.sent <- t.sent + List.length dsts;
+    t.env.Layer.transport.Layer.xmit ~dsts wire
+  end
 
 let rank_of_dest t src =
   let rec loop i =
@@ -78,9 +87,7 @@ let handle_down t (ev : Event.down) =
     let self_is_dest = Array.exists (Addr.equal_endpoint self) t.dests in
     let local = if t.loopback && self_is_dest then Some (Msg.copy m) else None in
     push_envelope t ~kind:Cast m;
-    Array.iter
-      (fun dst -> if not (Addr.equal_endpoint dst self) then transmit t m dst)
-      t.dests;
+    xmit t ~dsts:t.peers (Msg.to_bytes m);
     Option.iter (fun l -> deliver_local t ~kind:Cast l) local
   | Event.D_send (dsts, m) ->
     let self = t.env.Layer.endpoint in
@@ -89,12 +96,12 @@ let handle_down t (ev : Event.down) =
       else None
     in
     push_envelope t ~kind:Send m;
-    List.iter
-      (fun dst -> if not (Addr.equal_endpoint dst self) then transmit t m dst)
-      dsts;
+    xmit t
+      ~dsts:(List.filter (fun dst -> not (Addr.equal_endpoint dst self)) dsts)
+      (Msg.to_bytes m);
     Option.iter (fun l -> deliver_local t ~kind:Send l) local
   | Event.D_view v ->
-    t.dests <- View.members_array v
+    set_dests t (View.members_array v)
   | Event.D_join contact ->
     (* Without a membership layer above, COM fabricates a best-effort
        destination set: ourselves, plus the contact if given. No
@@ -108,10 +115,10 @@ let handle_down t (ev : Event.down) =
         else List.sort Addr.compare_endpoint [ c; self ]
     in
     let v = View.create ~group:t.env.Layer.group ~ltime:0 ~members in
-    t.dests <- View.members_array v;
+    set_dests t (View.members_array v);
     t.env.Layer.emit_up (Event.U_view v)
   | Event.D_leave ->
-    t.dests <- [||];
+    set_dests t [||];
     t.env.Layer.emit_up Event.U_exit
   | Event.D_dump -> ()
   | Event.D_ack _ | Event.D_stable _ | Event.D_flush_ok ->
@@ -178,13 +185,13 @@ let dump t () =
    envelope recognition on the way up. The compile captures the
    destination set; the physical-equality guard in [fpb_send_ready]
    catches replacements no view event announces (D_join, D_leave).
-   The gathered wire image is shared across destinations — every
-   transport copies on ingestion, so sharing is safe where the full
-   path's per-destination [Msg.to_bytes] would have copied. *)
+   As on the full path, the gathered wire image is one datagram handed
+   to the transport for every destination. *)
 let compile_fastpath t () =
   if Array.length t.dests = 0 then None
   else begin
     let dests = t.dests in
+    let peers = t.peers in
     let self = t.env.Layer.endpoint in
     let self_eid = Addr.endpoint_id self in
     let self_rank = rank_of_dest t self in
@@ -200,14 +207,7 @@ let compile_fastpath t () =
              Seg.push_u8 seg (kind_code Cast);
              Seg.push_u16 seg (Seg.length seg land 0xffff);
              Seg.push_u16 seg magic;
-             let wire = Seg.to_wire seg in
-             Array.iter
-               (fun dst ->
-                  if not (Addr.equal_endpoint dst self) then begin
-                    t.sent <- t.sent + 1;
-                    t.env.Layer.transport.Layer.xmit ~dst wire
-                  end)
-               dests;
+             xmit t ~dsts:peers (Seg.to_wire seg);
              match (local, self_rank) with
              | Some lm, Some r -> Some (lm, r, send_meta)
              | _ -> None);
@@ -233,6 +233,7 @@ let create params env =
       filter = Params.get_bool params "filter" ~default:true;
       loopback = Params.get_bool params "loopback" ~default:true;
       dests = [||];
+      peers = [];
       sent = 0;
       received = 0;
       rejected = 0;

@@ -15,16 +15,17 @@ open Horus_hcpi
 type state = {
   env : Layer.env;
   frag_size : int;
-  cast_partial : (int, Buffer.t) Hashtbl.t;  (* origin eid -> bytes so far *)
-  send_partial : (int, Buffer.t) Hashtbl.t;
+  cast_partial : (int, Msg.t list) Hashtbl.t;  (* origin eid -> fragments so far, newest first *)
+  send_partial : (int, Msg.t list) Hashtbl.t;
   mutable fragmented : int;
   mutable reassembled : int;
 }
 
 let src_of meta = Option.value (Event.meta_find meta Com.src_meta) ~default:(-1)
 
-(* Split [m] into fragments of at most [frag_size] payload bytes, each
-   tagged with the more-flag; emit them downward via [send]. *)
+(* Cut [m] front to back into fragments of at most [frag_size] payload
+   bytes, each copied once out of [m]'s buffer and tagged with the
+   more-flag; emit them downward via [send]. *)
 let fragment t m ~send =
   let total = Msg.length m in
   if total <= t.frag_size then begin
@@ -33,42 +34,33 @@ let fragment t m ~send =
   end
   else begin
     t.fragmented <- t.fragmented + 1;
-    let rec loop m =
-      if Msg.length m > t.frag_size then begin
-        let rest = Msg.split_off m (Msg.length m - t.frag_size) in
-        Msg.push_bool m true;
-        send m;
-        loop rest
-      end
-      else begin
-        Msg.push_bool m false;
-        send m
-      end
+    let buf, off, _ = Msg.view m in
+    let rec loop pos =
+      let len = Int.min t.frag_size (total - pos) in
+      let f = Msg.of_sub buf ~off:(off + pos) ~len in
+      let more = pos + len < total in
+      Msg.push_bool f more;
+      send f;
+      if more then loop (pos + len)
     in
-    loop m
+    loop 0
   end
 
+(* Fragments are kept as they arrived (this layer is their last
+   reader) and joined with one blit each when the last one lands. *)
 let reassemble t table ~key ~more m =
+  let pending = Hashtbl.find_opt table key in
   if more then begin
-    let buf =
-      match Hashtbl.find_opt table key with
-      | Some b -> b
-      | None ->
-        let b = Buffer.create 256 in
-        Hashtbl.replace table key b;
-        b
-    in
-    Buffer.add_string buf (Msg.to_string m);
+    Hashtbl.replace table key (m :: Option.value pending ~default:[]);
     None
   end
   else
-    match Hashtbl.find_opt table key with
+    match pending with
     | None -> Some m  (* unfragmented, the common case *)
-    | Some buf ->
+    | Some parts ->
       Hashtbl.remove table key;
-      Buffer.add_string buf (Msg.to_string m);
       t.reassembled <- t.reassembled + 1;
-      Some (Msg.create (Buffer.contents buf))
+      Some (Msg.concat (List.rev (m :: parts)))
 
 let create params env =
   let t =

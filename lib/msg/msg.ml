@@ -24,17 +24,23 @@ let create ?(headroom = default_headroom) payload =
   Bytes.blit_string payload 0 buf headroom plen;
   { buf; off = headroom; len = plen }
 
-let of_bytes ?(headroom = default_headroom) b =
-  let blen = Bytes.length b in
-  let buf = Bytes.create (headroom + blen) in
-  Bytes.blit b 0 buf headroom blen;
-  { buf; off = headroom; len = blen }
+let of_sub ?(headroom = default_headroom) b ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Msg.of_sub";
+  let buf = Bytes.create (headroom + len) in
+  Bytes.blit b off buf headroom len;
+  { buf; off = headroom; len }
+
+let of_bytes ?headroom b = of_sub ?headroom b ~off:0 ~len:(Bytes.length b)
 
 let empty ?headroom () = create ?headroom ""
 
 let length t = t.len
 
-let copy t = { buf = Bytes.copy t.buf; off = t.off; len = t.len }
+(* Everything up to the end of the live bytes, headroom included (a
+   position marked before pops still restores on the copy); slack past
+   the live bytes, left by [append]'s growth or a shortening [restore],
+   is not copied. *)
+let copy t = { buf = Bytes.sub t.buf 0 (t.off + t.len); off = t.off; len = t.len }
 
 let to_string t = Bytes.sub_string t.buf t.off t.len
 
@@ -131,27 +137,23 @@ let pop_string t =
   t.len <- t.len - n;
   s
 
-(* --- splitting and joining, for fragmentation layers --- *)
+(* --- joining, for fragmentation layers (splitting is [of_sub] on a
+   [view]) --- *)
 
-(* [split_off t n] removes the last [n] bytes of [t] and returns them
-   as a new message. *)
-let split_off t n =
-  if n < 0 || n > t.len then invalid_arg "Msg.split_off";
-  let tail = Bytes.sub t.buf (t.off + t.len - n) n in
-  t.len <- t.len - n;
-  of_bytes tail
-
-(* [take_front t n] removes and returns the first [n] live bytes. *)
-let take_front t n =
-  if n < 0 || n > t.len then invalid_arg "Msg.take_front";
-  let head = Bytes.sub t.buf t.off n in
-  t.off <- t.off + n;
-  t.len <- t.len - n;
-  head
+(* One buffer sized for the sum, each part's live bytes blitted once. *)
+let concat parts =
+  let total = List.fold_left (fun acc p -> acc + p.len) 0 parts in
+  let buf = Bytes.create (default_headroom + total) in
+  let pos = ref default_headroom in
+  List.iter
+    (fun p ->
+       Bytes.blit p.buf p.off buf !pos p.len;
+       pos := !pos + p.len)
+    parts;
+  { buf; off = default_headroom; len = total }
 
 let append t b =
-  (* Append raw bytes at the tail (used by reassembly). Grows the tail
-     as needed. *)
+  (* Append raw bytes at the tail. Grows the tail as needed. *)
   let n = Bytes.length b in
   let cap = Bytes.length t.buf - (t.off + t.len) in
   if cap < n then begin

@@ -15,12 +15,20 @@ val create : ?headroom:int -> string -> t
 
 val of_bytes : ?headroom:int -> Bytes.t -> t
 
+val of_sub : ?headroom:int -> Bytes.t -> off:int -> len:int -> t
+(** [of_sub b ~off ~len] makes a message whose live bytes are a copy of
+    bytes [off .. off + len) of [b] — one allocation, one blit. Raises
+    [Invalid_argument] if the range is not inside [b]. *)
+
 val empty : ?headroom:int -> unit -> t
 
 val length : t -> int
 (** Number of live bytes (headers + payload). *)
 
 val copy : t -> t
+(** An independent copy of the buffer up to the end of the live bytes
+    (headroom included, so a {!mark} taken before pops still restores
+    on the copy); any slack past the live bytes is not copied. *)
 
 val to_string : t -> string
 (** Copy of the live bytes. *)
@@ -43,15 +51,12 @@ val push_string : t -> string -> unit
 
 val pop_string : t -> string
 
-val split_off : t -> int -> t
-(** [split_off t n] removes the last [n] live bytes into a new message
-    (fragmentation). *)
-
-val take_front : t -> int -> Bytes.t
-(** Remove and return the first [n] live bytes. *)
+val concat : t list -> t
+(** A fresh message whose live bytes are those of the parts, in order:
+    one allocation, one blit per part (reassembly). *)
 
 val append : t -> Bytes.t -> unit
-(** Append raw bytes at the tail (reassembly). *)
+(** Append raw bytes at the tail. *)
 
 val replace : t -> Bytes.t -> unit
 (** Replace the live bytes wholesale (compression, encryption). *)

@@ -47,6 +47,14 @@ type t = {
   local_addr : string;     (** this backend's own address *)
   mtu : int;               (** largest datagram the backend will carry *)
   send : dest:string -> Bytes.t -> unit;
+      (** Bytes handed to [send] are immutable from then on: neither
+          the caller nor the backend may write them, and the caller
+          may hand the same bytes to several destinations (one frame
+          per multi-destination cast). A backend may keep a reference
+          (a batched {!Udp} stages the bytes until its next flush,
+          {!Chaos} parks them to reorder) but alters only its own copy
+          ({!Chaos} corrupts a copy; {!Loopback} and {!Shard} copy on
+          ingestion). *)
   set_rx : rx -> unit;     (** install the receive callback (one at a time) *)
   fd : Unix.file_descr option;
       (** readiness handle for select-based drivers; [None] for

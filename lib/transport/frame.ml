@@ -4,12 +4,12 @@
    real network delivers whatever arrived on the port. Every datagram a
    transport backend carries is therefore wrapped in a self-describing
    envelope that (a) identifies the protocol and its version, (b) names
-   the sending endpoint and the destination group — via the shared
-   Horus_msg.Wire address codecs, so the frame speaks the same address
-   format as every layer header above it — and (c) carries an explicit
-   payload length plus a CRC-32 over everything, so truncated, padded
-   or garbled packets are rejected at the door instead of confusing a
-   protocol layer.
+   the sending endpoint and the destination group — as the u32 ids of
+   the shared Horus_msg.Wire address codecs, so the frame speaks the
+   same address format as every layer header above it — and (c)
+   carries an explicit payload length plus a CRC-32 over everything,
+   so truncated, padded or garbled packets are rejected at the door
+   instead of confusing a protocol layer.
 
    Layout (big-endian, CRC over all bytes before it):
 
@@ -48,28 +48,31 @@ let error_to_string = function
 
 let pp_error fmt e = Format.pp_print_string fmt (error_to_string e)
 
+let set_u32 b at v = Bytes.set_int32_be b at (Int32.of_int (v land 0xffffffff))
+
+let get_u32 b at = Int32.to_int (Bytes.get_int32_be b at) land 0xffffffff
+
+(* One buffer of exactly the frame's size: header fields written in
+   place (the same u32 ids the Wire codecs push), the payload blitted
+   once, the CRC appended. *)
 let encode ?(version = version) ~src ~group payload =
-  let m = Msg.of_bytes ~headroom:header_bytes payload in
-  Msg.push_u32 m (Bytes.length payload);
-  Wire.push_group m group;
-  Wire.push_endpoint m src;
-  Msg.push_u8 m version;
-  Msg.push_u16 m magic;
-  let body = Msg.to_bytes m in
-  let n = Bytes.length body in
-  let frame = Bytes.create (n + 4) in
-  Bytes.blit body 0 frame 0 n;
-  Bytes.set_int32_be frame n
-    (Int32.of_int (Horus_util.Crc.crc32 body ~off:0 ~len:n));
+  let n = Bytes.length payload in
+  let frame = Bytes.create (overhead + n) in
+  Bytes.set_uint16_be frame 0 magic;
+  Bytes.set_uint8 frame 2 version;
+  set_u32 frame 3 (Addr.endpoint_id src);
+  set_u32 frame 7 (Addr.group_id group);
+  set_u32 frame 11 n;
+  Bytes.blit payload 0 frame header_bytes n;
+  let body = header_bytes + n in
+  set_u32 frame body (Horus_util.Crc.crc32 frame ~off:0 ~len:body);
   frame
 
-(* Decode a frame sitting at [off..off+len) of [b] without copying the
-   datagram first: the batched rx path hands views into a reusable
-   buffer ring, so only the payload is ever copied out. Field reads
-   are direct big-endian accesses at the layout offsets above (the
-   encoder builds the header through the Msg/Wire codecs; the layouts
-   agree by the tests' round-trip properties). *)
-let decode_sub b ~off ~len =
+(* Check a frame sitting at [off..off+len) of [b] and locate its
+   payload, copying nothing: rx paths hand views into a reusable
+   buffer ring, and the caller copies the payload exactly once, into
+   whatever it builds from it. *)
+let decode_view b ~off ~len =
   if len < overhead then Error (Too_short len)
   else begin
     let mg = Bytes.get_uint16_be b off in
@@ -82,19 +85,21 @@ let decode_sub b ~off ~len =
            the CRC then vouches for the rest of the bytes before any
            field is interpreted. *)
         let expected = Horus_util.Crc.crc32 b ~off ~len:(len - 4) in
-        let got = Int32.to_int (Bytes.get_int32_be b (off + len - 4)) land 0xffffffff in
+        let got = get_u32 b (off + len - 4) in
         if expected <> got then Error (Bad_crc { expected; got })
         else begin
-          let u32 at = Int32.to_int (Bytes.get_int32_be b at) land 0xffffffff in
-          let h_src = Addr.endpoint (u32 (off + 3)) in
-          let h_group = Addr.group (u32 (off + 7)) in
-          let declared = u32 (off + 11) in
+          let h_src = Addr.endpoint (get_u32 b (off + 3)) in
+          let h_group = Addr.group (get_u32 b (off + 7)) in
+          let declared = get_u32 b (off + 11) in
           let actual = len - overhead in
           if declared <> actual then Error (Length_mismatch { declared; actual })
-          else Ok ({ h_src; h_group }, Bytes.sub b (off + header_bytes) actual)
+          else Ok ({ h_src; h_group }, off + header_bytes, actual)
         end
       end
     end
   end
 
-let decode b = decode_sub b ~off:0 ~len:(Bytes.length b)
+let decode b =
+  match decode_view b ~off:0 ~len:(Bytes.length b) with
+  | Ok (hdr, poff, plen) -> Ok (hdr, Bytes.sub b poff plen)
+  | Error e -> Error e

@@ -1,6 +1,6 @@
 (** Versioned wire frame for real-network datagrams: magic, version
-    byte, source endpoint and destination group (via the shared
-    {!Horus_msg.Wire} codecs), explicit payload length, and a trailing
+    byte, source endpoint and destination group (the u32 ids of the
+    shared {!Horus_msg.Wire} codecs), explicit payload length, and a trailing
     CRC-32 — so truncated, padded or garbled packets are rejected at
     the door. Layout (big-endian):
 
@@ -31,15 +31,20 @@ val pp_error : Format.formatter -> error -> unit
 
 val encode : ?version:int -> src:Addr.endpoint -> group:Addr.group -> Bytes.t -> Bytes.t
 (** [encode ~src ~group payload] wraps a stack payload in a checked
-    envelope. [version] is exposed for the codec's own rejection tests;
-    real senders use the default. *)
+    envelope: one fresh buffer of [overhead + length payload] bytes,
+    the payload copied into it once. [version] is exposed for the
+    codec's own rejection tests; real senders use the default. *)
+
+val decode_view : Bytes.t -> off:int -> len:int -> (header * int * int, error) result
+(** Check the frame held in the [len] bytes of [b] starting at [off]
+    and locate its payload, copying nothing: [Ok (hdr, poff, plen)]
+    means the payload is bytes [poff .. poff + plen) of [b], a range
+    inside [off .. off + len). Checks, in order: minimum length, magic,
+    version, CRC (over everything before it), declared payload length.
+    Any byte content yields [Ok] or [Error], never an exception; a
+    range outside [b] is a caller error and may raise
+    [Invalid_argument]. *)
 
 val decode : Bytes.t -> (header * Bytes.t, error) result
-(** Inverse of {!encode}. Checks, in order: minimum length, magic,
-    version, CRC (over everything before it), declared payload
-    length. *)
-
-val decode_sub : Bytes.t -> off:int -> len:int -> (header * Bytes.t, error) result
-(** {!decode} on the [len] bytes of [b] starting at [off], without
-    copying the datagram first — for rx paths that hand out views into
-    a reusable buffer ring. Only the payload is copied out. *)
+(** Inverse of {!encode}: {!decode_view} on the whole of [b], with the
+    payload copied out. *)

@@ -75,8 +75,12 @@ let create ?(mtu = max_datagram) ?(batch = 0) ~bind () =
     | Error e -> invalid_arg ("Udp.create: " ^ e)
   in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  (* SO_REUSEADDR lets a fixed port be rebound right after a restart.
+     On a port-0 bind it would let the kernel hand out a port another
+     such socket already holds, so ephemeral binds go without it. *)
+  let reuse = match sockaddr with Unix.ADDR_INET (_, 0) -> false | _ -> true in
   (match
-     Unix.setsockopt fd Unix.SO_REUSEADDR true;
+     if reuse then Unix.setsockopt fd Unix.SO_REUSEADDR true;
      Unix.bind fd sockaddr;
      Unix.set_nonblock fd
    with
@@ -206,8 +210,9 @@ let create ?(mtu = max_datagram) ?(batch = 0) ~bind () =
       | Some (to_, ipp) ->
         (match ipp with
          | Some (ip, port) when batch > 0 && Sysops.mmsg_available () ->
-           (* Stage by reference: the waist always hands freshly encoded
-              frames, so the bytes are immutable from here on. *)
+           (* Stage by reference: sent bytes are immutable (see
+              Backend.t's [send]), possibly shared with other
+              destinations of the same frame. *)
            if !tcount >= batch then flush_tx ();
            let i = !tcount in
            tbufs.(i) <- payload;
@@ -217,6 +222,18 @@ let create ?(mtu = max_datagram) ?(batch = 0) ~bind () =
            incr tcount
          | _ -> send_scalar to_ payload)
     end
+  in
+  (* The scalar path's sender addresses, memoised like [src_string]:
+     formatting one per datagram costs more than the rest of the rx. *)
+  let from_strings : (Unix.sockaddr, string) Hashtbl.t = Hashtbl.create 8 in
+  let from_string from =
+    match Hashtbl.find_opt from_strings from with
+    | Some s -> s
+    | None ->
+      let s = string_of_sockaddr from in
+      if Hashtbl.length from_strings >= cache_limit then Hashtbl.reset from_strings;
+      Hashtbl.replace from_strings from s;
+      s
   in
   let buf = Bytes.create 65_536 in
   (* The scalar drain: also the batched path's fallback when the stubs
@@ -231,7 +248,7 @@ let create ?(mtu = max_datagram) ?(batch = 0) ~bind () =
         (match !rx with
          | Some f ->
            stats.Backend.delivered <- stats.Backend.delivered + 1;
-           f ~src:(string_of_sockaddr from) (Bytes.sub buf 0 n)
+           f ~src:(from_string from) (Bytes.sub buf 0 n)
          | None ->
            (* Unreachable: poll returns early without an rx. *)
            stats.Backend.dropped <- stats.Backend.dropped + 1);

@@ -31,23 +31,61 @@ let mac ~key b ~off ~len =
   fnv1a64 ~init:h kb ~off:0 ~len:(Bytes.length kb)
 
 (* --- CRC-32 (ISO-HDLC / zlib polynomial, reflected), for the frame
-   codec of lib/transport. Table-driven, one table built at load. --- *)
+   codec of lib/transport. Slicing-by-8: eight 256-entry tables, laid
+   end to end in one array and built at load, fold eight input bytes
+   per step instead of one. Table k maps a byte to its CRC contribution
+   when k zero bytes follow it, so the eight lookups of a step are
+   independent and XOR together. --- *)
 
-let crc32_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+let crc32_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+    done
+  done;
+  t
+
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+(* Little-endian u32 at [i]; the caller has bounds-checked the range. *)
+let[@inline] get_le32 b i =
+  let w = get32u b i in
+  Int32.to_int (if Sys.big_endian then bswap32 w else w) land 0xFFFFFFFF
+
+let[@inline] tbl k i = Array.unsafe_get crc32_tables ((k lsl 8) lor i)
 
 let crc32 ?(init = 0) b ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length b then invalid_arg "Crc.crc32";
-  let table = Lazy.force crc32_table in
-  let c = ref (init lxor 0xFFFFFFFF) in
-  for i = off to off + len - 1 do
-    c := table.((!c lxor Char.code (Bytes.get b i)) land 0xff) lxor (!c lsr 8)
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Crc.crc32";
+  (* Masked so that every table index below stays in 0..255. *)
+  let c = ref ((init lxor 0xFFFFFFFF) land 0xFFFFFFFF) in
+  let i = ref off in
+  let stop8 = off + (len land lnot 7) in
+  while !i < stop8 do
+    let lo = get_le32 b !i lxor !c in
+    let hi = get_le32 b (!i + 4) in
+    c :=
+      tbl 7 (lo land 0xff)
+      lxor tbl 6 ((lo lsr 8) land 0xff)
+      lxor tbl 5 ((lo lsr 16) land 0xff)
+      lxor tbl 4 (lo lsr 24)
+      lxor tbl 3 (hi land 0xff)
+      lxor tbl 2 ((hi lsr 8) land 0xff)
+      lxor tbl 1 ((hi lsr 16) land 0xff)
+      lxor tbl 0 (hi lsr 24);
+    i := !i + 8
+  done;
+  for j = stop8 to off + len - 1 do
+    c := tbl 0 ((!c lxor Char.code (Bytes.unsafe_get b j)) land 0xff) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
 

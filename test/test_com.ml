@@ -244,7 +244,7 @@ let test_layer_skipping () =
       Horus_hcpi.Stack.create ~engine ~endpoint:(Addr.endpoint 0) ~group:(Addr.group 0)
         ~prng:(Horus_util.Prng.create 1)
         ~transport:
-          { Horus_hcpi.Layer.xmit = (fun ~dst:_ _ -> ()); local_node = 0; mtu = 65536 }
+          { Horus_hcpi.Layer.xmit = (fun ~dsts:_ _ -> ()); local_node = 0; mtu = 65536 }
         ~rendezvous:Horus_hcpi.Layer.null_rendezvous ~skip_inert
         ~trace:(fun ~layer:_ ~category:_ _ -> ())
         ~to_app:(fun _ -> ())
@@ -269,7 +269,7 @@ let test_layer_skipping_preserves_delivery () =
   let stack =
     Horus_hcpi.Stack.create ~engine ~endpoint:(Addr.endpoint 0) ~group:(Addr.group 0)
       ~prng:(Horus_util.Prng.create 1)
-      ~transport:{ Horus_hcpi.Layer.xmit = (fun ~dst:_ _ -> ()); local_node = 0; mtu = 65536 }
+      ~transport:{ Horus_hcpi.Layer.xmit = (fun ~dsts:_ _ -> ()); local_node = 0; mtu = 65536 }
       ~rendezvous:Horus_hcpi.Layer.null_rendezvous ~skip_inert:true
       ~trace:(fun ~layer:_ ~category:_ _ -> ())
       ~to_app:(fun ev ->

@@ -197,6 +197,96 @@ let test_frag_send_path () =
   in
   Alcotest.(check (list string)) "send reassembled" [ big ] got
 
+(* A lone FRAG layer as a stack: casts enter at the top and leave at
+   the bottom as fragments; fragments injected at the bottom come out
+   at the top, reassembled per origin. *)
+let frag_stack ~frag_size ~to_app ~to_below =
+  Horus_layers.Init.register_all ();
+  Horus_hcpi.Stack.create ~engine:(Horus_sim.Engine.create ()) ~endpoint:(Addr.endpoint 0)
+    ~group:(Addr.group 0) ~prng:(Horus_util.Prng.create 1)
+    ~transport:{ Horus_hcpi.Layer.xmit = (fun ~dsts:_ _ -> ()); local_node = 0; mtu = 65536 }
+    ~rendezvous:Horus_hcpi.Layer.null_rendezvous
+    ~trace:(fun ~layer:_ ~category:_ _ -> ())
+    ~to_app ~to_below
+    (Spec.resolve (Spec.parse (Printf.sprintf "FRAG(frag_size=%d)" frag_size)))
+
+(* Every boundary length around the fragment size plus random lengths
+   up to 64 KiB, from three origins whose fragments arrive interleaved
+   one by one: each origin's casts come out whole and in order. *)
+let test_frag_roundtrip_lengths () =
+  let fs = 1024 in
+  let rng = Random.State.make [| 42 |] in
+  let lengths =
+    [ 0; fs - 1; fs; fs + 1; 5 * fs; (5 * fs) + 1 ]
+    @ List.init 6 (fun _ -> Random.State.int rng 65_537)
+  in
+  let origins = [ 1; 2; 3 ] in
+  let payload o k len = String.init len (fun i -> Char.chr ((o * 31 + k * 7 + i) land 0xff)) in
+  let cut = ref [] in
+  let sender =
+    frag_stack ~frag_size:fs ~to_app:ignore ~to_below:(function
+      | Event.D_cast f -> cut := f :: !cut
+      | _ -> ())
+  in
+  let fragments_of o =
+    List.concat
+      (List.mapi
+         (fun k len ->
+            cut := [];
+            Horus_hcpi.Stack.down sender (Event.D_cast (Msg.create (payload o k len)));
+            let fs_out = List.rev !cut in
+            Alcotest.(check int)
+              (Printf.sprintf "fragments of %d bytes" len)
+              (max 1 ((len + fs - 1) / fs))
+              (List.length fs_out);
+            List.map (fun f -> (o, f)) fs_out)
+         lengths)
+  in
+  let rec interleave queues =
+    match List.filter (fun q -> q <> []) queues with
+    | [] -> []
+    | qs -> List.map List.hd qs @ interleave (List.map List.tl qs)
+  in
+  let got = Hashtbl.create 3 in
+  let receiver =
+    frag_stack ~frag_size:fs ~to_below:ignore ~to_app:(function
+      | Event.U_cast (o, m, _) ->
+        Hashtbl.replace got o (Msg.to_string m :: Option.value (Hashtbl.find_opt got o) ~default:[])
+      | _ -> ())
+  in
+  List.iter
+    (fun (o, f) ->
+       Horus_hcpi.Stack.inject_up receiver
+         (Event.U_cast (o, f, [ (Horus_layers.Com.src_meta, o) ])))
+    (interleave (List.map fragments_of origins));
+  List.iter
+    (fun o ->
+       Alcotest.(check (list string))
+         (Printf.sprintf "origin %d reassembled in order" o)
+         (List.mapi (payload o) lengths)
+         (List.rev (Option.value (Hashtbl.find_opt got o) ~default:[])))
+    origins
+
+(* Fragmentation copies each byte once: cutting a 64 KiB cast into 64
+   fragments allocates well under three times the cast's own size. *)
+let test_frag_alloc_linear () =
+  let size = 65_536 in
+  let count = ref 0 in
+  let st =
+    frag_stack ~frag_size:1024 ~to_app:ignore ~to_below:(function
+      | Event.D_cast _ -> incr count
+      | _ -> ())
+  in
+  Horus_hcpi.Stack.down st (Event.D_cast (Msg.create (String.make 4096 'w')));
+  count := 0;
+  let m = Msg.create (String.make size 'f') in
+  let before = Gc.allocated_bytes () in
+  Horus_hcpi.Stack.down st (Event.D_cast m);
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  Alcotest.(check int) "64 fragments" 64 !count;
+  if words >= float_of_int (3 * size / (Sys.word_size / 8)) then
+    Alcotest.failf "fragmenting %d bytes allocated %.0f words" size words
+
 (* --- NFRAG (no FIFO below) --- *)
 
 let test_nfrag_over_reordering_net () =
@@ -441,7 +531,10 @@ let () =
           Alcotest.test_case "exact boundary" `Quick test_frag_exact_boundary;
           Alcotest.test_case "interleaved origins" `Quick test_frag_interleaved_origins;
           Alcotest.test_case "under loss" `Quick test_frag_under_loss;
-          Alcotest.test_case "send path" `Quick test_frag_send_path ] );
+          Alcotest.test_case "send path" `Quick test_frag_send_path;
+          Alcotest.test_case "round trip at every boundary length" `Quick
+            test_frag_roundtrip_lengths;
+          Alcotest.test_case "fragmenting allocates linearly" `Quick test_frag_alloc_linear ] );
       ( "nfrag",
         [ Alcotest.test_case "over reordering net" `Quick test_nfrag_over_reordering_net;
           Alcotest.test_case "all-or-nothing" `Quick

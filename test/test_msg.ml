@@ -75,19 +75,57 @@ let test_msg_copy_independent () =
   Alcotest.(check int) "original keeps header" 8 (Msg.length m);
   Alcotest.(check int) "copy popped" 7 (Msg.length c)
 
+(* Copying a message whose buffer runs past its live bytes (a
+   truncated one) keeps exactly the live bytes plus the headroom before
+   them — a position marked before pops still restores on the copy —
+   and shares nothing with the original. *)
+let test_msg_copy_truncated () =
+  let m = Msg.create "0123456789" in
+  Msg.push_u16 m 0xbeef;
+  let off, _ = Msg.mark m in
+  Msg.restore m (off, 8);
+  let c = Msg.copy m in
+  Alcotest.(check bool) "equal to the original" true (Msg.equal m c);
+  Alcotest.(check int) "header" 0xbeef (Msg.pop_u16 c);
+  Alcotest.(check string) "payload" "012345" (Msg.to_string c);
+  Msg.restore c (off, 8);
+  Alcotest.(check bool) "mark restores on the copy" true (Msg.equal m c);
+  Msg.push_u32 c 7;
+  Msg.append c (Bytes.of_string "tail");
+  Msg.restore m (off, 12);
+  Alcotest.(check string) "original untouched, slack included" "\xbe\xef0123456789"
+    (Msg.to_string m);
+  Msg.push_u8 m 1;
+  Alcotest.(check int) "copy untouched" 7 (Msg.pop_u32 c);
+  Alcotest.(check string) "copy payload" "\xbe\xef012345tail" (Msg.to_string c)
+
 let test_msg_split_and_append () =
   let m = Msg.create "0123456789" in
-  let tail = Msg.split_off m 4 in
-  Alcotest.(check string) "head" "012345" (Msg.to_string m);
+  let buf, off, len = Msg.view m in
+  let head = Msg.of_sub buf ~off ~len:6 in
+  let tail = Msg.of_sub buf ~off:(off + 6) ~len:(len - 6) in
+  Alcotest.(check string) "head" "012345" (Msg.to_string head);
   Alcotest.(check string) "tail" "6789" (Msg.to_string tail);
-  Msg.append m (Msg.to_bytes tail);
-  Alcotest.(check string) "rejoined" "0123456789" (Msg.to_string m)
+  Msg.append head (Msg.to_bytes tail);
+  Alcotest.(check string) "rejoined" "0123456789" (Msg.to_string head);
+  Alcotest.(check string) "concat" "0123456789" (Msg.to_string (Msg.concat [ Msg.create "012345"; tail ]));
+  Alcotest.(check string) "source untouched" "0123456789" (Msg.to_string m)
 
-let test_msg_take_front () =
-  let m = Msg.create "abcdef" in
-  let front = Msg.take_front m 2 in
-  Alcotest.(check string) "front" "ab" (Bytes.to_string front);
-  Alcotest.(check string) "rest" "cdef" (Msg.to_string m)
+let test_msg_of_sub () =
+  let b = Bytes.of_string "abcdef" in
+  let m = Msg.of_sub b ~off:2 ~len:3 in
+  Alcotest.(check string) "slice" "cde" (Msg.to_string m);
+  Bytes.set b 2 'X';
+  Alcotest.(check string) "a copy, not a view" "cde" (Msg.to_string m);
+  Msg.push_u8 m 0x41;
+  Alcotest.(check string) "pushable" "Acde" (Msg.to_string m);
+  Alcotest.(check string) "empty slice" "" (Msg.to_string (Msg.of_sub b ~off:6 ~len:0));
+  List.iter
+    (fun (off, len) ->
+       Alcotest.check_raises (Printf.sprintf "range %d+%d rejected" off len)
+         (Invalid_argument "Msg.of_sub")
+         (fun () -> ignore (Msg.of_sub b ~off ~len)))
+    [ (-1, 2); (0, -1); (4, 3); (7, 0) ]
 
 let test_msg_of_bytes_pushable () =
   (* A received message must still accept pushes (retransmission). *)
@@ -256,8 +294,9 @@ let () =
           Alcotest.test_case "headroom growth" `Quick test_msg_headroom_growth;
           Alcotest.test_case "truncated pop" `Quick test_msg_truncated_pop;
           Alcotest.test_case "copy independent" `Quick test_msg_copy_independent;
+          Alcotest.test_case "copy of a truncated message" `Quick test_msg_copy_truncated;
           Alcotest.test_case "split and append" `Quick test_msg_split_and_append;
-          Alcotest.test_case "take front" `Quick test_msg_take_front;
+          Alcotest.test_case "of_sub slice" `Quick test_msg_of_sub;
           Alcotest.test_case "received messages pushable" `Quick test_msg_of_bytes_pushable;
           QCheck_alcotest.to_alcotest prop_msg_u32_roundtrip;
           QCheck_alcotest.to_alcotest prop_msg_string_roundtrip;

@@ -255,14 +255,17 @@ let prop_compact_bits_roundtrip =
 (* --- Msg splitting --- *)
 
 let prop_msg_split_rejoin =
-  QCheck.Test.make ~name:"msg: split_off + append = id" ~count:300
+  QCheck.Test.make ~name:"msg: of_sub split + concat = id" ~count:300
     QCheck.(pair (string_of_size Gen.(1 -- 200)) small_nat)
     (fun (s, k) ->
-       let m = Horus_msg.Msg.create s in
+       let open Horus_msg in
+       let m = Msg.create s in
        let k = k mod (String.length s + 1) in
-       let tail = Horus_msg.Msg.split_off m k in
-       Horus_msg.Msg.append m (Horus_msg.Msg.to_bytes tail);
-       Horus_msg.Msg.to_string m = s)
+       let buf, off, len = Msg.view m in
+       let head = Msg.of_sub buf ~off ~len:k in
+       let tail = Msg.of_sub buf ~off:(off + k) ~len:(len - k) in
+       Msg.to_string (Msg.concat [ head; tail ]) = s
+       && (Msg.append head (Msg.to_bytes tail); Msg.to_string head = s))
 
 let () =
   Alcotest.run "quickcheck"

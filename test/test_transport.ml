@@ -48,11 +48,12 @@ let prop_frame_corruption =
        Bytes.set garbled pos (Char.chr (Char.code (Bytes.get garbled pos) lxor 0x40));
        match T.Frame.decode garbled with Error _ -> true | Ok _ -> false)
 
-(* [decode_sub] — the zero-copy view used by the batched receive path —
-   agrees with [decode] on every frame, wherever it sits inside a
-   larger buffer, and rejects the same prefixes. *)
-let prop_frame_decode_sub_equiv =
-  QCheck.Test.make ~name:"frame: decode_sub = decode on any slice" ~count:300
+(* [decode_view] — the decoder every rx path uses — agrees with
+   [decode] on every frame, wherever it sits inside a larger buffer,
+   locates the payload inside the view, and rejects the same
+   prefixes. *)
+let prop_frame_decode_view_equiv =
+  QCheck.Test.make ~name:"frame: decode_view = decode on any slice" ~count:300
     QCheck.(triple payload_arb (int_bound 64) (int_bound 100_000))
     (fun (payload, pad, src) ->
        let frame = T.Frame.encode ~src:(Addr.endpoint src) ~group:(Addr.group 3) payload in
@@ -62,23 +63,192 @@ let prop_frame_decode_sub_equiv =
        let buf = Bytes.make (pad + n + 16) '\xAA' in
        Bytes.blit frame 0 buf pad n;
        let whole =
-         match (T.Frame.decode_sub buf ~off:pad ~len:n, T.Frame.decode frame) with
-         | Ok (h1, b1), Ok (h2, b2) ->
+         match (T.Frame.decode_view buf ~off:pad ~len:n, T.Frame.decode frame) with
+         | Ok (h1, poff, plen), Ok (h2, b2) ->
            Addr.equal_endpoint h1.T.Frame.h_src h2.T.Frame.h_src
            && Addr.equal_group h1.T.Frame.h_group h2.T.Frame.h_group
-           && Bytes.equal b1 b2
+           && poff >= pad && poff + plen <= pad + n
+           && Bytes.equal (Bytes.sub buf poff plen) b2
          | Error _, Error _ -> true
          | _ -> false
        in
        let prefixes_rejected =
          List.for_all
            (fun k ->
-              match T.Frame.decode_sub buf ~off:pad ~len:k with
+              match T.Frame.decode_view buf ~off:pad ~len:k with
               | Error _ -> true
               | Ok _ -> false)
            (List.init (min n 24) (fun k -> k))
        in
        whole && prefixes_rejected)
+
+(* --- decoder fuzzing ----------------------------------------------- *)
+
+type mutation =
+  | Flip of int * int          (* position seed, bit *)
+  | Truncate of int            (* bytes cut off the end *)
+  | Extend of string           (* bytes appended *)
+  | Garbage of int * string    (* position seed, bytes written over *)
+
+let pp_mutation = function
+  | Flip (p, bit) -> Printf.sprintf "flip(%d,bit %d)" p bit
+  | Truncate k -> Printf.sprintf "truncate(%d)" k
+  | Extend s -> Printf.sprintf "extend(%S)" s
+  | Garbage (p, s) -> Printf.sprintf "garbage(%d,%S)" p s
+
+let gen_mutation =
+  QCheck.Gen.(
+    oneof
+      [ map2 (fun p bit -> Flip (p, bit)) nat (int_bound 7);
+        map (fun k -> Truncate (k + 1)) (int_bound 40);
+        map (fun s -> Extend s) (string_size (int_range 1 32));
+        map2 (fun p s -> Garbage (p, s)) nat (string_size (int_range 1 16)) ])
+
+let mutate b = function
+  | Flip (p, bit) ->
+    let n = Bytes.length b in
+    if n = 0 then b
+    else begin
+      let b = Bytes.copy b in
+      let i = p mod n in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+      b
+    end
+  | Truncate k -> Bytes.sub b 0 (max 0 (Bytes.length b - k))
+  | Extend s -> Bytes.cat b (Bytes.of_string s)
+  | Garbage (p, s) ->
+    let n = Bytes.length b in
+    if n = 0 then b
+    else begin
+      let b = Bytes.copy b in
+      let i = p mod n in
+      Bytes.blit_string s 0 b i (min (String.length s) (n - i));
+      b
+    end
+
+(* A transport stub with a batched rx path, so a link installs its
+   zero-copy view decoder on it and the test can feed that decoder
+   arbitrary views. *)
+let view_backend () =
+  let batch =
+    { T.Backend.bt_size = 1;
+      bt_flush = (fun () -> ());
+      bt_rx_view = None;
+      bt_rx_hist = [| 0 |];
+      bt_tx_hist = [| 0 |];
+      bt_rx_syscalls = 0;
+      bt_tx_syscalls = 0 }
+  in
+  ( { T.Backend.kind = "stub";
+      local_addr = "stub:0";
+      mtu = 65_507;
+      send = (fun ~dest:_ _ -> ());
+      set_rx = (fun _ -> ());
+      fd = None;
+      poll = (fun () -> 0);
+      close = (fun () -> ());
+      stats = T.Backend.fresh_stats ();
+      batch = Some batch },
+    batch )
+
+(* Random bit flips, truncations, extensions and overwrites of a valid
+   frame, presented at a random offset inside a larger dirty buffer:
+   the decoder never raises, never points outside the view, and
+   rejects every mutant — which the link counts in [bad_frame] and
+   delivers to nobody. *)
+let prop_frame_fuzz =
+  let backend, batch = view_backend () in
+  let link = Transport_link.create (World.create ()) in
+  let mux = Transport_link.mux link ~backend ~peers:(T.Peers.create ()) in
+  let delivered = ref 0 in
+  Transport_link.route_raw mux ~gid:3 (fun ~src:_ _ -> incr delivered);
+  let rx_view = Option.get batch.T.Backend.bt_rx_view in
+  let gen =
+    QCheck.Gen.(
+      quad
+        (string_size (int_bound 300))
+        (list_size (int_range 1 4) gen_mutation)
+        (pair (string_size (int_bound 64)) (string_size (int_bound 64)))
+        (int_bound 100_000))
+  in
+  let print (payload, muts, (pre, post), src) =
+    Printf.sprintf "payload=%d bytes src=%d pad=%d+%d %s" (String.length payload) src
+      (String.length pre) (String.length post)
+      (String.concat " " (List.map pp_mutation muts))
+  in
+  QCheck.Test.make ~name:"frame: mutated frames rejected and counted" ~count:1000
+    (QCheck.make ~print gen)
+    (fun (payload, muts, (pre, post), src) ->
+       let frame =
+         T.Frame.encode ~src:(Addr.endpoint src) ~group:(Addr.group 3)
+           (Bytes.of_string payload)
+       in
+       let mutant = List.fold_left mutate frame muts in
+       QCheck.assume (not (Bytes.equal mutant frame));
+       let off = String.length pre and len = Bytes.length mutant in
+       let buf = Bytes.concat Bytes.empty [ Bytes.of_string pre; mutant; Bytes.of_string post ] in
+       let in_view =
+         match T.Frame.decode_view buf ~off ~len with
+         | Ok (_, poff, plen) -> poff >= off && plen >= 0 && poff + plen <= off + len
+         | Error _ -> true
+         | exception e -> QCheck.Test.fail_reportf "decoder raised %s" (Printexc.to_string e)
+       in
+       let rejected =
+         match T.Frame.decode_view buf ~off ~len with Ok _ -> false | Error _ -> true
+       in
+       let bad0 = backend.T.Backend.stats.T.Backend.bad_frame and got0 = !delivered in
+       rx_view ~src:"fuzz" ~buf ~off ~len;
+       in_view && rejected
+       && backend.T.Backend.stats.T.Backend.bad_frame = bad0 + 1
+       && !delivered = got0)
+
+(* --- CRC-32 against a byte-at-a-time reference --------------------- *)
+
+let crc32_ref_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let crc32_ref ?(init = 0) b ~off ~len =
+  let c = ref (init lxor 0xFFFFFFFF) in
+  for i = off to off + len - 1 do
+    c := crc32_ref_table.((!c lxor Char.code (Bytes.get b i)) land 0xff) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let prop_crc32_reference =
+  QCheck.Test.make ~name:"crc32: equals the byte-at-a-time reference" ~count:300
+    QCheck.(
+      quad (string_of_size Gen.(0 -- 4200)) (pair small_nat small_nat) small_nat
+        (int_bound 0x3FFFFFFF))
+    (fun (s, (off_seed, len_seed), split_seed, init_seed) ->
+       let b = Bytes.of_string s in
+       let n = Bytes.length b in
+       let off = off_seed mod (n + 1) in
+       let len = len_seed * 37 mod (min 4096 (n - off) + 1) in
+       let k = split_seed mod (len + 1) in
+       let init = (init_seed * 4 + 3) land 0xFFFFFFFF in
+       let crc = Horus_util.Crc.crc32 in
+       let whole = crc b ~off ~len in
+       whole = crc32_ref b ~off ~len
+       && crc ~init:(crc b ~off ~len:k) b ~off:(off + k) ~len:(len - k) = whole
+       && crc ~init b ~off ~len = crc32_ref ~init b ~off ~len)
+
+(* The exact wire image of one frame: any change to the layout, field
+   order, byte order or checksum shows up here first. *)
+let frame_golden () =
+  let frame =
+    T.Frame.encode ~src:(Addr.endpoint 7) ~group:(Addr.group 0xC0FFEE)
+      (Bytes.of_string "Horus frame")
+  in
+  let hex =
+    String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (Bytes.to_seq frame)))
+  in
+  Alcotest.(check string) "wire bytes"
+    "4844010000000700c0ffee0000000b486f727573206672616d65f96aa3c2" hex
 
 (* A zero-length payload is a legal frame: exactly [overhead] bytes,
    round-trips, and still rejects corruption. *)
@@ -500,6 +670,21 @@ let udp_raw_roundtrip () =
   a.T.Backend.close ();
   b.T.Backend.close ()
 
+(* Ephemeral binds never share a port: the kernel must hand each
+   127.0.0.1:0 socket its own, or two members of one process would send
+   to themselves. With SO_REUSEADDR set, 64 such sockets collided about
+   once in 15 tries, so the check runs 32 rounds of 64. *)
+let udp_ephemeral_ports_distinct () =
+  for round = 1 to 32 do
+    let socks = List.init 64 (fun _ -> T.Udp.create ~bind:"127.0.0.1:0" ()) in
+    let addrs =
+      List.sort_uniq compare (List.map (fun (b : T.Backend.t) -> b.T.Backend.local_addr) socks)
+    in
+    List.iter (fun (b : T.Backend.t) -> b.T.Backend.close ()) socks;
+    Alcotest.(check int) (Printf.sprintf "round %d: 64 sockets, 64 ports" round) 64
+      (List.length addrs)
+  done
+
 (* Two UDP-attached endpoints in one process: the full stack reaches
    view agreement and delivers a totally-ordered stream over the real
    kernel. *)
@@ -582,7 +767,10 @@ let () =
          [ QCheck_alcotest.to_alcotest prop_frame_roundtrip;
            QCheck_alcotest.to_alcotest prop_frame_truncation;
            QCheck_alcotest.to_alcotest prop_frame_corruption;
-           QCheck_alcotest.to_alcotest prop_frame_decode_sub_equiv;
+           QCheck_alcotest.to_alcotest prop_frame_decode_view_equiv;
+           QCheck_alcotest.to_alcotest prop_frame_fuzz;
+           QCheck_alcotest.to_alcotest prop_crc32_reference;
+           Alcotest.test_case "golden wire bytes" `Quick frame_golden;
            Alcotest.test_case "zero-length payload" `Quick frame_zero_length;
            Alcotest.test_case "every single-bit flip rejected" `Quick frame_every_bit_flip;
            Alcotest.test_case "max payload fills a datagram" `Quick frame_max_payload;
@@ -608,6 +796,8 @@ let () =
      if udp_enabled then
        [ ( "udp",
            [ Alcotest.test_case "raw socket round-trip" `Quick udp_raw_roundtrip;
+             Alcotest.test_case "port-0 binds get distinct ports" `Quick
+               udp_ephemeral_ports_distinct;
              Alcotest.test_case "batched sendmmsg/recvmmsg round-trip" `Quick
                udp_batched_roundtrip;
              Alcotest.test_case "full stack over real UDP" `Slow udp_full_stack ] ) ]

@@ -427,6 +427,25 @@ let explore_cmd =
           $ crash_at_arg $ suspect_arg $ link_arg $ depth_arg $ max_runs_arg $ walks_arg
           $ horizon_arg $ width_arg $ from_arg $ save_arg)
 
+(* The flags every campaign subcommand (soak, churn, conformance)
+   shares; the double-run gate itself is Horus_check.Campaign.gate. *)
+let report_arg =
+  Arg.(value & opt (some string) None
+       & info [ "report" ] ~docv:"FILE" ~doc:"Write the full JSON report here.")
+
+let double_run_arg =
+  Arg.(value & flag
+       & info [ "double-run" ]
+           ~doc:"Run twice and require every cell's fingerprints to agree (the \
+                 determinism gate).")
+
+let shards_arg =
+  Arg.(value & opt int 1
+       & info [ "shards" ]
+           ~doc:"Run this many independent cells in parallel, one OCaml domain \
+                 each (seed offset per cell); the combined fingerprint is \
+                 deterministic in (config, shards). 1 = the plain run.")
+
 (* An invariant-checked soak: a long chaos-transport run (lib/check's
    Soak) sized by flags, with the chaos profile given either as knobs
    or as a JSON file. Prints a summary, optionally writes the full
@@ -485,10 +504,6 @@ let soak_cmd =
          & info [ "profile" ] ~docv:"FILE"
              ~doc:"Chaos profile JSON file; overrides the individual knobs.")
   in
-  let report_arg =
-    Arg.(value & opt (some string) None
-         & info [ "report" ] ~docv:"FILE" ~doc:"Write the full JSON report here.")
-  in
   let save_arg =
     Arg.(value & opt (some string) None
          & info [ "save" ] ~doc:"Directory to write a repro file into on violation.")
@@ -506,19 +521,6 @@ let soak_cmd =
                    of distinct members join late, interleaved across the traffic \
                    span (requires 2*churn < n). Casts come from the stable core.")
   in
-  let shards_arg =
-    Arg.(value & opt int 1
-         & info [ "shards" ]
-             ~doc:"Run this many independent soak cells in parallel, one OCaml \
-                   domain each (seed offset per cell); the combined fingerprint \
-                   is deterministic in (config, shards). 1 = the plain soak.")
-  in
-  let double_arg =
-    Arg.(value & flag
-         & info [ "double-run" ]
-             ~doc:"Run twice and require identical combined fingerprints (the \
-                   determinism gate).")
-  in
   let run spec n seed casts period duration check drop dup reorder window delay corrupt
       profile report save fastpath churn shards double =
     let module C = Horus_check in
@@ -526,13 +528,7 @@ let soak_cmd =
     let profile =
       match profile with
       | Some file ->
-        let contents =
-          let ic = open_in_bin file in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        (match Ch.profile_of_string contents with
+        (match Ch.profile_of_string (In_channel.with_open_bin file In_channel.input_all) with
          | Ok p -> p
          | Error e ->
            Format.eprintf "soak: cannot load profile %s: %s@." file e;
@@ -554,54 +550,35 @@ let soak_cmd =
         c_check_every = check;
         c_churn = churn }
     in
-    let s = C.Soak.run_sharded ?repro_dir:save ~fastpath ~shards config in
-    Format.printf
-      "soak %s: %d shard(s), %d casts/cell, %d members (%d churned), %.2f wall seconds@."
-      spec shards
-      (match s.C.Soak.sh_reports with [||] -> 0 | a -> a.(0).C.Soak.rp_casts)
-      n (2 * churn) s.C.Soak.sh_wall;
-    Array.iteri
-      (fun i r ->
-         Format.printf
-           "  shard %d: %d online checks, %.1f virtual seconds, outcome %016Lx, \
-            metrics %016Lx@."
-           i r.C.Soak.rp_checks r.C.Soak.rp_elapsed r.C.Soak.rp_outcome_fingerprint
-           r.C.Soak.rp_metrics_fingerprint;
-         List.iter
-           (fun (at, v) ->
-              Format.printf "  ONLINE VIOLATION at %.3f: %a@." at
-                C.Invariant.pp_violation v)
-           r.C.Soak.rp_online;
-         List.iter
-           (fun v -> Format.printf "  VIOLATION %a@." C.Invariant.pp_violation v)
-           r.C.Soak.rp_final;
-         match r.C.Soak.rp_repro with
-         | Some path -> Format.printf "  repro written to %s@." path
-         | None -> ())
-      s.C.Soak.sh_reports;
-    Format.printf "combined fingerprint %016Lx@." s.C.Soak.sh_fingerprint;
-    (match report with
-     | Some path ->
-       let oc = open_out path in
-       Fun.protect
-         ~finally:(fun () -> close_out_noerr oc)
-         (fun () ->
-            output_string oc
-              (if shards = 1 then C.Soak.to_string s.C.Soak.sh_reports.(0)
-               else C.Soak.sharded_to_string s));
-       Format.printf "report written to %s@." path
-     | None -> ());
-    let passed = ref (C.Soak.sharded_ok s) in
-    if double then begin
-      let s2 = C.Soak.run_sharded ?repro_dir:save ~fastpath ~shards config in
-      if s2.C.Soak.sh_fingerprint <> s.C.Soak.sh_fingerprint then begin
-        Format.printf "DETERMINISM VIOLATION: second run fingerprint %016Lx@."
-          s2.C.Soak.sh_fingerprint;
-        passed := false
-      end
-      else Format.printf "double run: fingerprints agree@."
-    end;
-    if !passed then Format.printf "no invariant violations@." else exit 1
+    let summary (s : C.Soak.report C.Campaign.run) =
+      Format.printf
+        "soak %s: %d shard(s), %d casts/cell, %d members (%d churned), %.2f wall seconds@."
+        spec shards s.cells.(0).C.Soak.rp_casts n (2 * churn) s.wall;
+      Array.iteri
+        (fun i r ->
+           Format.printf
+             "  shard %d: %d online checks, %.1f virtual seconds, outcome %016Lx, \
+              metrics %016Lx@."
+             i r.C.Soak.rp_checks r.C.Soak.rp_elapsed r.C.Soak.rp_outcome_fingerprint
+             r.C.Soak.rp_metrics_fingerprint;
+           List.iter
+             (fun (at, v) ->
+                Format.printf "  ONLINE VIOLATION at %.3f: %a@." at
+                  C.Invariant.pp_violation v)
+             r.C.Soak.rp_online;
+           List.iter
+             (fun v -> Format.printf "  VIOLATION %a@." C.Invariant.pp_violation v)
+             r.C.Soak.rp_final;
+           match r.C.Soak.rp_repro with
+           | Some path -> Format.printf "  repro written to %s@." path
+           | None -> ())
+        s.cells;
+      Format.printf "combined fingerprint %016Lx@." s.combined
+    in
+    exit
+      (C.Campaign.gate C.Soak.campaign ?report ~double_run:double ~summary
+         ~passed:"no invariant violations" ~shards
+         (C.Soak.cell ?repro_dir:save ~fastpath ~shards config))
   in
   Cmd.v
     (Cmd.info "soak"
@@ -610,7 +587,7 @@ let soak_cmd =
     Term.(const run $ spec_arg $ n_arg $ seed_arg $ casts_arg $ period_arg
           $ duration_arg $ check_arg $ drop_arg $ dup_arg $ reorder_arg $ window_arg
           $ delay_arg $ corrupt_arg $ profile_arg $ report_arg $ save_arg
-          $ fastpath_arg $ churn_arg $ shards_arg $ double_arg)
+          $ fastpath_arg $ churn_arg $ shards_arg $ double_run_arg)
 
 (* The hierarchical churn soak: HIER sub-groups over multiplexed
    loopback sockets with a live directory service, mass join/leave
@@ -694,23 +671,6 @@ let churn_cmd =
          & info [ "kill-dir-wave" ]
              ~doc:"Wave whose kills also take the directory primary (-1 never).")
   in
-  let double_arg =
-    Arg.(value & flag
-         & info [ "double-run" ]
-             ~doc:"Run twice and require identical fingerprints (the \
-                   determinism gate).")
-  in
-  let shards_arg =
-    Arg.(value & opt int 1
-         & info [ "shards" ]
-             ~doc:"Run this many independent churn cells in parallel, one OCaml \
-                   domain each (seed offset per cell); the combined fingerprint \
-                   is deterministic in (config, shards). 1 = the plain soak.")
-  in
-  let report_arg =
-    Arg.(value & opt (some string) None
-         & info [ "report" ] ~docv:"FILE" ~doc:"Write the full JSON report here.")
-  in
   let run endpoints subgroups seed spec waves fraction casts lease bound nak ci
       ungraceful kill_coords rebridge replicas kill_dir double shards report =
     let base =
@@ -739,85 +699,64 @@ let churn_cmd =
         h_dir_replicas = dfl base.C.Churn.h_dir_replicas replicas;
         h_kill_dir_wave = dfl base.C.Churn.h_kill_dir_wave kill_dir }
     in
-    let s = C.Churn.run_sharded ~shards config in
-    if shards > 1 then
-      Format.printf "churn: %d parallel cells, %.2f wall seconds@." shards
-        s.C.Churn.shc_wall;
-    let r = s.C.Churn.shc_reports.(0) in
-    Format.printf
-      "churn: %d endpoints in %d sub-groups over %d sockets, %d waves, %.1f \
-       virtual seconds@."
-      r.C.Churn.r_endpoints r.C.Churn.r_subgroups r.C.Churn.r_sockets
-      config.C.Churn.h_waves r.C.Churn.r_elapsed;
-    List.iter
-      (fun w ->
-         Format.printf "  wave %d %s: %d members, converged %s@."
-           w.C.Churn.w_index w.C.Churn.w_kind w.C.Churn.w_members
-           (match w.C.Churn.w_converge with
-            | Some t -> Printf.sprintf "in %.2fs" t
-            | None -> "NEVER (bound exceeded)"))
-      r.C.Churn.r_waves;
-    if r.C.Churn.r_killed > 0 then begin
+    let summary (s : C.Churn.report C.Campaign.run) =
+      if shards > 1 then
+        Format.printf "churn: %d parallel cells, %.2f wall seconds@." shards s.wall;
+      let r = s.cells.(0) in
       Format.printf
-        "  killed %d endpoints (%d coordinators); re-bridge bound %.2fs@."
-        r.C.Churn.r_killed r.C.Churn.r_killed_coordinators
-        r.C.Churn.r_rebridge_bound;
+        "churn: %d endpoints in %d sub-groups over %d sockets, %d waves, %.1f \
+         virtual seconds@."
+        r.C.Churn.r_endpoints r.C.Churn.r_subgroups r.C.Churn.r_sockets
+        config.C.Churn.h_waves r.C.Churn.r_elapsed;
       List.iter
-        (fun (j, t) -> Format.printf "    sub-group %d re-bridged in %.3fs@." j t)
-        r.C.Churn.r_rebridge
-    end;
-    if r.C.Churn.r_dir_replicas > 0 then
+        (fun w ->
+           Format.printf "  wave %d %s: %d members, converged %s@."
+             w.C.Churn.w_index w.C.Churn.w_kind w.C.Churn.w_members
+             (match w.C.Churn.w_converge with
+              | Some t -> Printf.sprintf "in %.2fs" t
+              | None -> "NEVER (bound exceeded)"))
+        r.C.Churn.r_waves;
+      if r.C.Churn.r_killed > 0 then begin
+        Format.printf
+          "  killed %d endpoints (%d coordinators); re-bridge bound %.2fs@."
+          r.C.Churn.r_killed r.C.Churn.r_killed_coordinators
+          r.C.Churn.r_rebridge_bound;
+        List.iter
+          (fun (j, t) -> Format.printf "    sub-group %d re-bridged in %.3fs@." j t)
+          r.C.Churn.r_rebridge
+      end;
+      if r.C.Churn.r_dir_replicas > 0 then
+        Format.printf
+          "  directory: %d replicas, %d promotions, epoch %d, %d client \
+           failovers, %d redirects, %d evictions@."
+          r.C.Churn.r_dir_replicas r.C.Churn.r_dir_promotions
+          r.C.Churn.r_dir_epoch r.C.Churn.r_dir_failovers
+          r.C.Churn.r_dir_redirects r.C.Churn.r_dir_evictions;
       Format.printf
-        "  directory: %d replicas, %d promotions, epoch %d, %d client \
-         failovers, %d redirects, %d evictions@."
-        r.C.Churn.r_dir_replicas r.C.Churn.r_dir_promotions
-        r.C.Churn.r_dir_epoch r.C.Churn.r_dir_failovers
-        r.C.Churn.r_dir_redirects r.C.Churn.r_dir_evictions;
-    Format.printf
-      "  nak.retransmits %d, unknown_gid %d, dir match %b, fingerprint %016Lx@."
-      r.C.Churn.r_nak_retransmits r.C.Churn.r_unknown_gid r.C.Churn.r_dir_match
-      r.C.Churn.r_fingerprint;
-    List.iter (fun v -> Format.printf "VIOLATION: %s@." v) r.C.Churn.r_violations;
-    (* The detailed block above covers cell 0; with more shards, one
-       summary line (and any violations) per further cell. *)
-    Array.iteri
-      (fun i c ->
-         if i > 0 then begin
-           Format.printf
-             "  cell %d: %.1f virtual seconds, nak.retransmits %d, fingerprint \
-              %016Lx@."
-             i c.C.Churn.r_elapsed c.C.Churn.r_nak_retransmits
-             c.C.Churn.r_fingerprint;
-           List.iter
-             (fun v -> Format.printf "  cell %d VIOLATION: %s@." i v)
-             c.C.Churn.r_violations
-         end)
-      s.C.Churn.shc_reports;
-    if shards > 1 then
-      Format.printf "combined fingerprint %016Lx@." s.C.Churn.shc_fingerprint;
-    (match report with
-     | Some path ->
-       let oc = open_out path in
-       Fun.protect
-         ~finally:(fun () -> close_out_noerr oc)
-         (fun () ->
-            output_string oc
-              (if shards = 1 then C.Churn.to_string r
-               else C.Churn.sharded_to_string s);
-            output_string oc "\n");
-       Format.printf "report written to %s@." path
-     | None -> ());
-    let ok = ref (C.Churn.sharded_ok s) in
-    if double then begin
-      let s2 = C.Churn.run_sharded ~shards config in
-      if s2.C.Churn.shc_fingerprint <> s.C.Churn.shc_fingerprint then begin
-        Format.printf "DETERMINISM VIOLATION: second run fingerprint %016Lx@."
-          s2.C.Churn.shc_fingerprint;
-        ok := false
-      end
-      else Format.printf "double run: fingerprints agree@."
-    end;
-    if !ok then Format.printf "churn soak passed@." else exit 1
+        "  nak.retransmits %d, unknown_gid %d, dir match %b, fingerprint %016Lx@."
+        r.C.Churn.r_nak_retransmits r.C.Churn.r_unknown_gid r.C.Churn.r_dir_match
+        r.C.Churn.r_fingerprint;
+      List.iter (fun v -> Format.printf "VIOLATION: %s@." v) r.C.Churn.r_violations;
+      (* The detailed block above covers cell 0; with more shards, one
+         summary line (and any violations) per further cell. *)
+      Array.iteri
+        (fun i c ->
+           if i > 0 then begin
+             Format.printf
+               "  cell %d: %.1f virtual seconds, nak.retransmits %d, fingerprint \
+                %016Lx@."
+               i c.C.Churn.r_elapsed c.C.Churn.r_nak_retransmits
+               c.C.Churn.r_fingerprint;
+             List.iter
+               (fun v -> Format.printf "  cell %d VIOLATION: %s@." i v)
+               c.C.Churn.r_violations
+           end)
+        s.cells;
+      if shards > 1 then Format.printf "combined fingerprint %016Lx@." s.combined
+    in
+    exit
+      (C.Campaign.gate C.Churn.campaign ?report ~double_run:double ~summary
+         ~passed:"churn soak passed" ~shards (C.Churn.cell ~shards config))
   in
   Cmd.v
     (Cmd.info "churn"
@@ -826,7 +765,8 @@ let churn_cmd =
     Term.(const run $ endpoints_arg $ subgroups_arg $ seed_arg $ spec_arg
           $ waves_arg $ fraction_arg $ casts_arg $ lease_arg $ bound_arg $ nak_arg
           $ ci_arg $ ungraceful_arg $ kill_coords_arg $ rebridge_arg
-          $ replicas_arg $ kill_dir_arg $ double_arg $ shards_arg $ report_arg)
+          $ replicas_arg $ kill_dir_arg $ double_run_arg $ shards_arg
+          $ report_arg)
 
 (* The property-algebra conformance sweep: synthesize well-formed
    stacks, derive each one's contract, run them under a chaos matrix,
@@ -850,10 +790,6 @@ let conformance_cmd =
     Arg.(value & opt string "clean,drop,reorder"
          & info [ "profiles" ]
              ~doc:"Comma-separated chaos profiles (clean, drop, reorder).")
-  in
-  let report_arg =
-    Arg.(value & opt (some string) None
-         & info [ "report" ] ~docv:"FILE" ~doc:"Write the full JSON report here.")
   in
   let save_arg =
     Arg.(value & opt (some string) None
@@ -886,46 +822,39 @@ let conformance_cmd =
     let progress =
       if quiet then None else Some (fun line -> Format.printf "%s@." line)
     in
-    let r = C.Conformance.sweep ?progress cf in
-    Format.printf "conformance: %d stacks x %d profiles = %d runs, %d failures@."
-      r.C.Conformance.rp_stacks (List.length cf_profiles) r.C.Conformance.rp_runs
-      r.C.Conformance.rp_failures;
-    Format.printf "sweep fingerprint %016Lx@." r.C.Conformance.rp_fingerprint;
-    List.iter
-      (fun v ->
-         if not (C.Conformance.verdict_ok v) then begin
-           Format.printf "FALSIFIED %s under %s (contract %s)@."
-             v.C.Conformance.vd_spec v.C.Conformance.vd_profile
-             (P.Set.to_string v.C.Conformance.vd_props);
-           List.iter
-             (fun (p, vs) ->
-                Format.printf "  %a: %d violation(s)@." P.pp p (List.length vs);
-                List.iter
-                  (fun viol -> Format.printf "    %a@." C.Invariant.pp_violation viol)
-                  vs)
-             v.C.Conformance.vd_violations;
-           List.iter
-             (fun (_, b) ->
-                Format.printf "  %s@." (Horus_props.Contract.classification b))
-             v.C.Conformance.vd_blames;
-           match v.C.Conformance.vd_repro with
-           | Some path -> Format.printf "  repro written to %s@." path
-           | None -> ()
-         end)
-      r.C.Conformance.rp_verdicts;
-    (match report with
-     | Some path ->
-       let oc = open_out path in
-       Fun.protect
-         ~finally:(fun () -> close_out_noerr oc)
-         (fun () ->
-            output_string oc
-              (Horus_obs.Json.to_string ~indent:true
-                 (C.Conformance.report_json r));
-            output_string oc "\n");
-       Format.printf "report written to %s@." path
-     | None -> ());
-    if C.Conformance.ok r then Format.printf "all contracts held@." else exit 1
+    let summary (s : C.Conformance.report C.Campaign.run) =
+      let r = s.cells.(0) in
+      Format.printf "conformance: %d stacks x %d profiles = %d runs, %d failures@."
+        r.C.Conformance.rp_stacks (List.length cf_profiles) r.C.Conformance.rp_runs
+        r.C.Conformance.rp_failures;
+      Format.printf "sweep fingerprint %016Lx@." r.C.Conformance.rp_fingerprint;
+      List.iter
+        (fun v ->
+           if not (C.Conformance.verdict_ok v) then begin
+             Format.printf "FALSIFIED %s under %s (contract %s)@."
+               v.C.Conformance.vd_spec v.C.Conformance.vd_profile
+               (P.Set.to_string v.C.Conformance.vd_props);
+             List.iter
+               (fun (p, vs) ->
+                  Format.printf "  %a: %d violation(s)@." P.pp p (List.length vs);
+                  List.iter
+                    (fun viol -> Format.printf "    %a@." C.Invariant.pp_violation viol)
+                    vs)
+               v.C.Conformance.vd_violations;
+             List.iter
+               (fun (_, b) ->
+                  Format.printf "  %s@." (Horus_props.Contract.classification b))
+               v.C.Conformance.vd_blames;
+             match v.C.Conformance.vd_repro with
+             | Some path -> Format.printf "  repro written to %s@." path
+             | None -> ()
+           end)
+        r.C.Conformance.rp_verdicts
+    in
+    exit
+      (C.Campaign.gate C.Conformance.campaign ?report ~summary
+         ~passed:"all contracts held" ~shards:1
+         (fun _ -> C.Conformance.sweep ?progress cf))
   in
   Cmd.v
     (Cmd.info "conformance"
@@ -1061,20 +990,7 @@ let node_member ~world ~driver ~link ~backend ~peers ~source ~g ~rank ~spec ~cas
     | _ -> None
   in
   let gr = Group.join ?contact ~record:false ep g in
-  (* Runner-style observations: delivery stream with epochs, views. *)
-  let rec_casts = ref [] and rec_views = ref [] and n_casts = ref 0 in
-  Group.set_on_up gr (fun ev ->
-      match ev with
-      | Event.U_cast (_, m, _) ->
-        let epoch = match Group.view gr with Some v -> View.ltime v | None -> -1 in
-        rec_casts := (Msg.to_string m, epoch) :: !rec_casts;
-        incr n_casts
-      | Event.U_view v ->
-        rec_views :=
-          ( (View.ltime v, Addr.endpoint_id (View.coordinator v)),
-            List.map Addr.endpoint_id (View.members v) )
-          :: !rec_views
-      | _ -> ());
+  let recorder = Horus_check.Runner.attach gr in
   let full_view () =
     match Group.view gr with Some v -> View.size v = n | None -> false
   in
@@ -1086,23 +1002,13 @@ let node_member ~world ~driver ~link ~backend ~peers ~source ~g ~rank ~spec ~cas
     done;
   let expect = n * casts in
   let complete =
-    formed && Transport.Driver.run_until ~timeout driver (fun () -> !n_casts >= expect)
+    formed
+    && Transport.Driver.run_until ~timeout driver (fun () ->
+        Horus_check.Runner.delivered recorder >= expect)
   in
   (* Grace period: let peers finish receiving our tail. *)
   Transport.Driver.run_for driver ~duration:0.5;
-  let obs =
-    { I.o_member = rank;
-      o_eid = rank;
-      o_crashed = false;
-      o_left = false;
-      o_exited = Group.exited gr;
-      o_casts = List.rev !rec_casts;
-      o_views = List.rev !rec_views;
-      o_final =
-        (match Group.view gr with
-         | Some v -> Some (View.ltime v, List.map Addr.endpoint_id (View.members v))
-         | None -> None) }
-  in
+  let obs = Horus_check.Runner.observation ~member:rank recorder gr in
   (* Single-process verdicts; cross-process agreement is the smoke
      script's job (it has both reports). *)
   let violations =
@@ -1119,20 +1025,16 @@ let node_member ~world ~driver ~link ~backend ~peers ~source ~g ~rank ~spec ~cas
         ("membership_source", J.String source);
         ("formed", J.Bool formed);
         ("complete", J.Bool complete);
-        ("delivered", J.Int !n_casts);
+        ("delivered", J.Int (Horus_check.Runner.delivered recorder));
         ("expected", J.Int expect);
         ( "final_view",
-          match Group.view gr with
-          | Some v ->
+          match obs.I.o_final with
+          | Some (ltime, members) ->
             J.Obj
-              [ ("ltime", J.Int (View.ltime v));
-                ( "members",
-                  J.List
-                    (List.map
-                       (fun e -> J.Int (Addr.endpoint_id e))
-                       (View.members v)) ) ]
+              [ ("ltime", J.Int ltime);
+                ("members", J.List (List.map (fun e -> J.Int e) members)) ]
           | None -> J.Null );
-        ("casts", J.List (List.rev_map (fun (p, _) -> J.String p) !rec_casts));
+        ("casts", J.List (List.map (fun (p, _) -> J.String p) obs.I.o_casts));
         ("violations", I.to_json violations);
         ( "transport",
           J.Obj
@@ -1208,7 +1110,6 @@ let node_cmd =
   in
   let run rank peers_s dir_addr bind_s n_opt spec casts interval timeout shards batch =
     let open Horus in
-    let module I = Horus_check.Invariant in
     let module J = Json in
     let module D = Horus_dir in
     let static =

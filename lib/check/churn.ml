@@ -188,14 +188,6 @@ type report = {
 
 let ok r = r.r_violations = []
 
-let fnv s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-       h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  !h
-
 (* One member slot of one sub-group. Rejoining after a leave or a
    crash creates a fresh endpoint incarnation (new eid) on the same
    socket: endpoint ids double as age order and the NAK layer's pair
@@ -401,38 +393,6 @@ let run c =
   in
   let violations = ref [] in
   let violate fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-  let debug_dump tag =
-    if Sys.getenv_opt "HORUS_CHURN_DEBUG" <> None then begin
-      Printf.eprintf "--- %s (t=%.2f) ---\n" tag (World.now world);
-      for j = 0 to min 1 (g - 1) do
-        Array.iteri
-          (fun i m ->
-             match m.m_handle with
-             | None -> Printf.eprintf "  g%d[%d] eid=%d: no handle\n" j i m.m_eid
-             | Some gr ->
-               Printf.eprintf "  g%d[%d] eid=%d live=%b killed=%b exited=%b view=%s\n"
-                 j i m.m_eid (m.m_renewal <> None) m.m_killed (Group.exited gr)
-                 (match Group.view gr with
-                  | Some v ->
-                    Printf.sprintf "lt%d[%s]" (View.ltime v)
-                      (String.concat ","
-                         (List.map string_of_int (eids_of v)))
-                  | None -> "-"))
-          members.(j)
-      done;
-      List.iter
-        (fun e ->
-           let cat = e.Horus_sim.Trace.category in
-           let has s =
-             let ls = String.length s and lc = String.length cat in
-             lc >= ls && String.sub cat (lc - ls) ls = s
-           in
-           if has "merge" || has "stale" || has "suspect" then
-             Printf.eprintf "  [%.2f] %s: %s\n" e.Horus_sim.Trace.time
-               e.Horus_sim.Trace.category e.Horus_sim.Trace.detail)
-        (Horus_sim.Trace.entries (World.trace world))
-    end
-  in
   (* Watch the notification feed through one subscribed client. *)
   D.Dir_client.subscribe clients.(0) ~group:(Addr.group_id sub_gid.(0)) (fun _ -> ());
   (* Phase 1: found every sub-group and stagger the joins. *)
@@ -585,10 +545,7 @@ let run c =
         done
       done;
       let conv = wait_converged all_settled in
-      if conv = None then begin
-        violate "wave %d: rejoin phase failed to converge" w;
-        debug_dump (Printf.sprintf "wave %d rejoin" w)
-      end;
+      if conv = None then violate "wave %d: rejoin phase failed to converge" w;
       waves :=
         { w_index = w; w_kind = "rejoin"; w_members = !rejoined; w_converge = conv }
         :: !waves
@@ -661,10 +618,7 @@ let run c =
       if dead_rep_eids <> [] then
         Group.suspect parent_handles.(0) (List.map Addr.endpoint dead_rep_eids);
       let conv = wait_converged all_settled in
-      if conv = None then begin
-        violate "wave %d: kill phase failed to converge" w;
-        debug_dump (Printf.sprintf "wave %d kill" w)
-      end;
+      if conv = None then violate "wave %d: kill phase failed to converge" w;
       waves :=
         { w_index = w; w_kind = "kill"; w_members = !killed_this_wave;
           w_converge = conv }
@@ -732,10 +686,7 @@ let run c =
            World.run_for world ~duration:c.h_op_gap)
         (List.rev !killed_here);
       let conv = wait_converged all_settled in
-      if conv = None then begin
-        violate "wave %d: rejoin phase failed to converge" w;
-        debug_dump (Printf.sprintf "wave %d rejoin" w)
-      end;
+      if conv = None then violate "wave %d: rejoin phase failed to converge" w;
       waves :=
         { w_index = w; w_kind = "rejoin"; w_members = !rejoined; w_converge = conv }
         :: !waves
@@ -907,7 +858,7 @@ let core_json r =
       ("violations", Json.List (List.map (fun s -> Json.String s) r.r_violations));
       ("elapsed_virtual", Json.Float r.r_elapsed) ]
 
-let fingerprint r = fnv (Json.to_string ~indent:false (core_json r))
+let fingerprint r = Campaign.fingerprint (core_json r)
 
 let run c =
   let core = run c in
@@ -920,63 +871,12 @@ let to_json r =
       (fields @ [ ("fingerprint", Json.String (Printf.sprintf "%016Lx" r.r_fingerprint)) ])
   | j -> j
 
-let to_string r = Json.to_string ~indent:true (to_json r)
+(* Cell [i] of a campaign: the seed offset by the cell index. *)
+let cell ~shards c i =
+  run { c with h_seed = c.h_seed + i; h_name = Campaign.cell_name ~shards c.h_name i }
 
-(* Sharded churn soak: the same "sharded cells" model as
-   Soak.run_sharded — N independent, complete churn cells (seed offset
-   by shard index), one per domain over the Shard fabric; the combined
-   fingerprint folds per-cell fingerprints in shard order, so it is a
-   pure function of (config, shards). shards = 1 runs on the calling
-   domain and the combined fingerprint is the plain r_fingerprint. *)
-type sharded_report = {
-  shc_shards : int;
-  shc_reports : report array;    (* in shard order *)
-  shc_fingerprint : int64;
-  shc_wall : float;              (* wall seconds of the parallel section *)
-}
-
-let sharded_ok s = Array.for_all ok s.shc_reports
-
-let run_sharded ~shards c =
-  if shards < 1 then invalid_arg "Churn.run_sharded: shards must be >= 1";
-  let cell i =
-    { c with
-      h_seed = c.h_seed + i;
-      h_name = (if shards = 1 then c.h_name else Printf.sprintf "%s#s%d" c.h_name i) }
-  in
-  let t0 = Unix.gettimeofday () in
-  let reports =
-    if shards = 1 then [| run (cell 0) |]
-    else begin
-      (* The global layer registry must be written once, here, before
-         the cell domains race World.create's lazy registration. *)
-      Horus_layers.Init.register_all ();
-      let fabric = Horus_transport.Shard.create shards in
-      Horus_transport.Shard.run fabric (fun ctx ->
-          run (cell ctx.Horus_transport.Shard.sx_id))
-    end
-  in
-  let combined =
-    if shards = 1 then reports.(0).r_fingerprint
-    else
-      fnv
-        (String.concat "|"
-           (Array.to_list
-              (Array.map
-                 (fun r -> Printf.sprintf "%016Lx" r.r_fingerprint)
-                 reports)))
-  in
-  { shc_shards = shards;
-    shc_reports = reports;
-    shc_fingerprint = combined;
-    shc_wall = Unix.gettimeofday () -. t0 }
-
-let sharded_to_json s =
-  Json.Obj
-    [ ("shards", Json.Int s.shc_shards);
-      ("ok", Json.Bool (sharded_ok s));
-      ("fingerprint", Json.String (Printf.sprintf "%016Lx" s.shc_fingerprint));
-      ("wall_seconds", Json.Float s.shc_wall);
-      ("cells", Json.List (Array.to_list (Array.map to_json s.shc_reports))) ]
-
-let sharded_to_string s = Json.to_string ~indent:true (sharded_to_json s)
+let campaign =
+  { Campaign.ok;
+    fingerprint = (fun r -> r.r_fingerprint);
+    key = (fun r -> Printf.sprintf "%016Lx" r.r_fingerprint);
+    to_json }

@@ -110,7 +110,7 @@ type report = {
   r_dir_redirects : int;    (** client [Not_primary] redirects honoured *)
   r_violations : string list;
   r_elapsed : float;        (** virtual seconds *)
-  r_fingerprint : int64;    (** FNV-1a over the canonical report JSON *)
+  r_fingerprint : int64;    (** {!Campaign.fingerprint} of the canonical report *)
 }
 
 val run : config -> report
@@ -123,28 +123,13 @@ val ok : report -> bool
 (** No violations. *)
 
 val to_json : report -> Horus_obs.Json.t
-val to_string : report -> string
 
-(** {1 Sharded churn}
+(** {1 As a campaign} *)
 
-    The same "sharded cells" model as {!Soak.run_sharded}: [shards]
-    independent, complete churn cells (seed offset by shard index),
-    one per OCaml domain over the {!Horus_transport.Shard} fabric.
-    The combined fingerprint folds per-cell fingerprints in shard
-    order — a pure function of (config, shards); with [shards = 1]
-    it is the plain {!report.r_fingerprint}. *)
+val cell : shards:int -> config -> int -> report
+(** Cell [i] of a [shards]-cell {!Campaign}: the config with its seed
+    offset by [i], named by {!Campaign.cell_name}. *)
 
-type sharded_report = {
-  shc_shards : int;
-  shc_reports : report array;  (** in shard order *)
-  shc_fingerprint : int64;
-  shc_wall : float;            (** wall seconds of the parallel section *)
-}
-
-val run_sharded : shards:int -> config -> sharded_report
-(** Raises [Invalid_argument] if [shards < 1]. *)
-
-val sharded_ok : sharded_report -> bool
-
-val sharded_to_json : sharded_report -> Horus_obs.Json.t
-val sharded_to_string : sharded_report -> string
+val campaign : report Campaign.t
+(** A cell's key is its [r_fingerprint] (hex); a one-cell campaign's
+    combined fingerprint is [r_fingerprint]. *)

@@ -423,14 +423,6 @@ let verdict_json v =
       ("shrunk",
        match v.vd_shrunk with None -> Json.Null | Some sc -> Scenario.to_json sc) ]
 
-let fnv_string s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-       h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  !h
-
 let report_json r =
   Json.Obj
     [ ("schema", Json.String "horus-conformance/1");
@@ -470,11 +462,14 @@ let sweep ?progress cf =
       (List.mapi (fun i st -> (i, st)) stacks)
   in
   let failures = List.length (List.filter (fun v -> not (verdict_ok v)) verdicts) in
-  let fingerprint =
-    fnv_string
-      (Json.to_string ~indent:false
-         (Json.List (List.map verdict_json verdicts)))
-  in
+  let fingerprint = Campaign.fingerprint (Json.List (List.map verdict_json verdicts)) in
   { rp_seed = cf.cf_seed; rp_stacks = List.length stacks;
     rp_runs = List.length verdicts; rp_failures = failures;
     rp_verdicts = verdicts; rp_fingerprint = fingerprint }
+
+(* The sweep is a one-cell campaign; its key is the sweep fingerprint. *)
+let campaign =
+  { Campaign.ok;
+    fingerprint = (fun r -> r.rp_fingerprint);
+    key = (fun r -> Printf.sprintf "%016Lx" r.rp_fingerprint);
+    to_json = report_json }

@@ -138,3 +138,6 @@ val sweep : ?progress:(string -> unit) -> config -> report
 
 val verdict_json : verdict -> Horus_obs.Json.t
 val report_json : report -> Horus_obs.Json.t
+
+val campaign : report Campaign.t
+(** The sweep as a one-cell {!Campaign}, keyed by [rp_fingerprint]. *)

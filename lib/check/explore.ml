@@ -68,7 +68,7 @@ let concretize sc cfg (r : Runner.result) =
   in
   with_sched sc cfg ~choices ~walk:None
 
-let explore ?(config = default_config) ?(skip_inert = false) ?(fastpath = false)
+let explore ?(config = default_config) ?(fastpath = false)
     (sc : Scenario.t) =
   let cfg = config in
   let seen = Hashtbl.create 251 in
@@ -97,7 +97,7 @@ let explore ?(config = default_config) ?(skip_inert = false) ?(fastpath = false)
       if !runs >= cfg.max_runs then truncated := true
       else begin
         let r =
-          Runner.run ~skip_inert ~fastpath
+          Runner.run ~fastpath
             (with_sched sc cfg ~choices:prefix ~walk:None)
         in
         note_run r;
@@ -127,7 +127,7 @@ let explore ?(config = default_config) ?(skip_inert = false) ?(fastpath = false)
     end
     else begin
       let r =
-        Runner.run ~skip_inert ~fastpath
+        Runner.run ~fastpath
           (with_sched sc cfg ~choices:[] ~walk:(Some (cfg.walk_seed + !w)))
       in
       note_run r;

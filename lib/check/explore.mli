@@ -30,8 +30,7 @@ type outcome = {
   stats : stats;
 }
 
-val explore :
-  ?config:config -> ?skip_inert:bool -> ?fastpath:bool -> Scenario.t -> outcome
+val explore : ?config:config -> ?fastpath:bool -> Scenario.t -> outcome
 (** Any [sched] already on the scenario is replaced by the explorer's.
     [fastpath] runs every schedule with the fused fast path enabled;
     outcomes (and so [stats.distinct]) must match a plain exploration

@@ -23,20 +23,27 @@ type result = {
 let sent_of scenario member =
   List.length (List.filter (fun o -> o.Scenario.op_member = member) scenario.Scenario.ops)
 
-(* Per-member recorder, attached after settle (so recorded views are
-   the ones traffic runs in). *)
+(* Per-member recorder. The runner attaches it after settle (so
+   recorded views are the ones traffic runs in); a live node attaches
+   it at join. *)
 type recorder = {
   mutable rec_casts : (string * int) list;          (* newest first *)
   mutable rec_views : ((int * int) * int list) list; (* newest first *)
+  mutable rec_delivered : int;
 }
 
+let empty () = { rec_casts = []; rec_views = []; rec_delivered = 0 }
+
+let delivered r = r.rec_delivered
+
 let attach gr =
-  let r = { rec_casts = []; rec_views = [] } in
+  let r = empty () in
   Group.set_on_up gr (fun ev ->
       match ev with
       | Event.U_cast (_, m, _) ->
         let epoch = match Group.view gr with Some v -> View.ltime v | None -> -1 in
-        r.rec_casts <- (Msg.to_string m, epoch) :: r.rec_casts
+        r.rec_casts <- (Msg.to_string m, epoch) :: r.rec_casts;
+        r.rec_delivered <- r.rec_delivered + 1
       | Event.U_view v ->
         r.rec_views <-
           ( (View.ltime v, Addr.endpoint_id (View.coordinator v)),
@@ -44,6 +51,20 @@ let attach gr =
           :: r.rec_views
       | _ -> ());
   r
+
+(* A joined member's observations as of now. *)
+let observation ~member ?(crashed = false) ?(left = false) r gr =
+  { Invariant.o_member = member;
+    o_eid = Addr.endpoint_id (Group.addr gr);
+    o_crashed = crashed;
+    o_left = left;
+    o_exited = Group.exited gr;
+    o_casts = List.rev r.rec_casts;
+    o_views = List.rev r.rec_views;
+    o_final =
+      (match Group.view gr with
+       | Some v -> Some (View.ltime v, List.map Addr.endpoint_id (View.members v))
+       | None -> None) }
 
 let spec_is_total spec =
   List.exists (fun l -> l.Horus_hcpi.Spec.name = "TOTAL") (Horus_hcpi.Spec.parse spec)
@@ -120,7 +141,7 @@ let chaos_fabric world spec n seed (profile : Horus_transport.Chaos.profile) lat
          socket that no longer hosts it. *)
       (fun r -> T.Peers.block peers ~rank:r) }
 
-let run ?(skip_inert = false) ?(fastpath = false) ?observe (sc : Scenario.t) =
+let run ?(fastpath = false) ?observe (sc : Scenario.t) =
   let world =
     World.create ~config:(Scenario.net_config sc.Scenario.net) ~seed:sc.Scenario.seed ()
   in
@@ -151,15 +172,13 @@ let run ?(skip_inert = false) ?(fastpath = false) ?observe (sc : Scenario.t) =
   let g = World.fresh_group_addr world in
   let members : Group.t option array = Array.make n None in
   let recorders : recorder option array = Array.make n None in
-  let founder = Group.join ~skip_inert ~fastpath (endpoint_of 0) g in
+  let founder = Group.join ~fastpath (endpoint_of 0) g in
   members.(0) <- Some founder;
   World.run_for world ~duration:sc.Scenario.join_spacing;
   for i = 1 to n - 1 do
     if not (List.mem i late) then begin
       members.(i) <-
-        Some
-          (Group.join ~skip_inert ~fastpath ~contact:(Group.addr founder)
-             (endpoint_of i) g);
+        Some (Group.join ~fastpath ~contact:(Group.addr founder) (endpoint_of i) g);
       World.run_for world ~duration:sc.Scenario.join_spacing
     end
   done;
@@ -232,8 +251,7 @@ let run ?(skip_inert = false) ?(fastpath = false) ?observe (sc : Scenario.t) =
              in
              if joinable && not (Endpoint.is_crashed (endpoint_of m)) then begin
                let gr =
-                 Group.join ~skip_inert ~fastpath ~contact:(Group.addr founder)
-                   (endpoint_of m) g
+                 Group.join ~fastpath ~contact:(Group.addr founder) (endpoint_of m) g
                in
                members.(m) <- Some gr;
                recorders.(m) <- Some (attach gr)
@@ -295,23 +313,9 @@ let run ?(skip_inert = false) ?(fastpath = false) ?observe (sc : Scenario.t) =
             o_views = [];
             o_final = None }
         | Some gr ->
-          let r =
-            match recorders.(i) with
-            | Some r -> r
-            | None -> { rec_casts = []; rec_views = [] }
-          in
-          { Invariant.o_member = i;
-            o_eid = Addr.endpoint_id (Group.addr gr);
-            o_crashed = List.mem i crashed;
-            o_left = List.mem i left;
-            o_exited = Group.exited gr;
-            o_casts = List.rev r.rec_casts;
-            o_views = List.rev r.rec_views;
-            o_final =
-              (match Group.view gr with
-               | Some v ->
-                 Some (View.ltime v, List.map Addr.endpoint_id (View.members v))
-               | None -> None) })
+          observation ~member:i ~crashed:(List.mem i crashed) ~left:(List.mem i left)
+            (match recorders.(i) with Some r -> r | None -> empty ())
+            gr)
   in
   (match observe with Some f -> f world snapshot | None -> ());
   World.run_for world ~duration:sc.Scenario.run_for;
@@ -404,13 +408,6 @@ let to_json r =
 
 let to_string r = Horus_obs.Json.to_string ~indent:true (to_json r)
 
-(* FNV-1a over the canonical outcome JSON: a cheap fingerprint for the
+(* A cheap fingerprint of the canonical outcome JSON, for the
    explorer's distinct-outcome statistics. *)
-let fingerprint r =
-  let s = Horus_obs.Json.to_string ~indent:false (outcome_json r) in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-       h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  !h
+let fingerprint r = Campaign.fingerprint (outcome_json r)

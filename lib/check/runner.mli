@@ -16,7 +16,6 @@ type result = {
 }
 
 val run :
-  ?skip_inert:bool ->
   ?fastpath:bool ->
   ?observe:(Horus.World.t -> (unit -> Invariant.obs list) -> unit) ->
   Scenario.t -> result
@@ -39,6 +38,23 @@ val run :
     for the soak harness's online invariant checks. *)
 
 val failed : result -> bool
+
+(** {1 Recording a member} *)
+
+type recorder
+(** A member's deliveries (payload, view epoch) and installed views. *)
+
+val attach : Horus.Group.t -> recorder
+(** Record from now on (installs the group's up-call handler). *)
+
+val delivered : recorder -> int
+(** Casts recorded so far. *)
+
+val observation :
+  member:int -> ?crashed:bool -> ?left:bool -> recorder -> Horus.Group.t ->
+  Invariant.obs
+(** The member's observations as of now: the recording plus the
+    group's exit status and current view. *)
 
 val sent_of : Scenario.t -> int -> int
 (** How many casts the scenario's schedule issues from a member. *)

@@ -113,17 +113,6 @@ type report = {
 
 let ok r = r.rp_online = [] && r.rp_final = []
 
-(* FNV-1a, same construction as Runner.fingerprint, over an arbitrary
-   string — used for the metrics image, whose stability across two
-   runs of the same config is the determinism gate. *)
-let fnv s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-       h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  !h
-
 (* Under churn, per-origin FIFO is excluded from the online slice: it
    asserts a gap-free prefix from cast 0, which a late joiner misses
    by construction. View agreement (same view id => same membership)
@@ -134,7 +123,7 @@ let prefix_violations ~churn obs =
   @ (if churn then [] else Invariant.per_origin_fifo ~tag:Runner.tag obs)
   @ Invariant.delivery_in_view ~tag:Runner.tag obs
 
-let run ?repro_dir ?(skip_inert = false) ?(fastpath = false) c =
+let run ?repro_dir ?(fastpath = false) c =
   let sc = scenario_of_config c in
   let checks = ref 0 in
   let online = ref [] in
@@ -162,7 +151,7 @@ let run ?repro_dir ?(skip_inert = false) ?(fastpath = false) c =
         metrics := Horus.World.metrics_json world;
         elapsed := Horus.World.now world)
   in
-  let r = Runner.run ~skip_inert ~fastpath ~observe sc in
+  let r = Runner.run ~fastpath ~observe sc in
   let failed = !online <> [] || r.Runner.r_violations <> [] in
   let repro =
     if failed then Repro.save ?dir:repro_dir { sc with Scenario.expect_violation = true }
@@ -174,66 +163,10 @@ let run ?repro_dir ?(skip_inert = false) ?(fastpath = false) c =
     rp_online = !online;
     rp_final = r.Runner.r_violations;
     rp_outcome_fingerprint = Runner.fingerprint r;
-    rp_metrics_fingerprint = fnv (Json.to_string ~indent:false !metrics);
+    rp_metrics_fingerprint = Campaign.fingerprint !metrics;
     rp_metrics = !metrics;
     rp_elapsed = !elapsed;
     rp_repro = repro }
-
-(* Sharded soak: the "sharded cells" determinism model. Each shard is
-   an independent, complete soak cell — same config, seed offset by
-   the shard index — run on its own domain via the Shard fabric, so N
-   shards exercise N engines genuinely in parallel while every cell
-   stays a single-threaded deterministic run. The combined fingerprint
-   folds the per-shard fingerprints IN SHARD ORDER, so it is a pure
-   function of (config, shards) no matter how the domains interleave;
-   with [shards = 1] the cell runs on the calling domain and the
-   combined fingerprint IS the plain run's metrics fingerprint, making
-   the sharded path a strict superset of the unsharded one. *)
-type sharded_report = {
-  sh_shards : int;
-  sh_reports : report array;     (* in shard order *)
-  sh_fingerprint : int64;
-  sh_wall : float;               (* wall seconds of the parallel section *)
-}
-
-let sharded_ok s = Array.for_all ok s.sh_reports
-
-let combined_fingerprint reports =
-  if Array.length reports = 1 then reports.(0).rp_metrics_fingerprint
-  else
-    fnv
-      (String.concat "|"
-         (Array.to_list
-            (Array.map
-               (fun r ->
-                  Printf.sprintf "%016Lx:%016Lx" r.rp_outcome_fingerprint
-                    r.rp_metrics_fingerprint)
-               reports)))
-
-let run_sharded ?repro_dir ?skip_inert ?fastpath ~shards c =
-  if shards < 1 then invalid_arg "Soak.run_sharded: shards must be >= 1";
-  let cell i =
-    { c with
-      c_seed = c.c_seed + i;
-      c_name = (if shards = 1 then c.c_name else Printf.sprintf "%s#s%d" c.c_name i) }
-  in
-  let t0 = Unix.gettimeofday () in
-  let reports =
-    if shards = 1 then [| run ?repro_dir ?skip_inert ?fastpath (cell 0) |]
-    else begin
-      (* Populate the global layer registry on this domain BEFORE any
-         cell domain races to do it lazily inside World.create. *)
-      Horus_layers.Init.register_all ();
-      let fabric = Horus_transport.Shard.create shards in
-      Horus_transport.Shard.run fabric (fun ctx ->
-          run ?repro_dir ?skip_inert ?fastpath
-            (cell ctx.Horus_transport.Shard.sx_id))
-    end
-  in
-  { sh_shards = shards;
-    sh_reports = reports;
-    sh_fingerprint = combined_fingerprint reports;
-    sh_wall = Unix.gettimeofday () -. t0 }
 
 let to_json r =
   Json.Obj
@@ -258,15 +191,18 @@ let to_json r =
         match r.rp_repro with None -> Json.Null | Some p -> Json.String p );
       ("metrics", r.rp_metrics) ]
 
-let to_string r = Json.to_string ~indent:true (to_json r)
+(* Cell [i] of a campaign: the seed offset by the cell index. *)
+let cell ?repro_dir ?fastpath ~shards c i =
+  run ?repro_dir ?fastpath
+    { c with c_seed = c.c_seed + i; c_name = Campaign.cell_name ~shards c.c_name i }
 
-let sharded_to_json s =
-  Json.Obj
-    [ ("shards", Json.Int s.sh_shards);
-      ("ok", Json.Bool (sharded_ok s));
-      ( "fingerprint",
-        Json.String (Printf.sprintf "%016Lx" s.sh_fingerprint) );
-      ("wall_seconds", Json.Float s.sh_wall);
-      ("cells", Json.List (Array.to_list (Array.map to_json s.sh_reports))) ]
-
-let sharded_to_string s = Json.to_string ~indent:true (sharded_to_json s)
+(* A soak cell's key carries both fingerprints, so a double run
+   compares the outcome as well as the metrics image; a one-cell
+   campaign's combined fingerprint is the metrics fingerprint. *)
+let campaign =
+  { Campaign.ok;
+    fingerprint = (fun r -> r.rp_metrics_fingerprint);
+    key =
+      (fun r ->
+         Printf.sprintf "%016Lx:%016Lx" r.rp_outcome_fingerprint r.rp_metrics_fingerprint);
+    to_json }

@@ -54,8 +54,8 @@ type report = {
   rp_final : Invariant.violation list;
   rp_outcome_fingerprint : int64;
   rp_metrics_fingerprint : int64;
-      (** FNV-1a of the end-of-run metrics image — byte-stable across
-          two runs of the same config *)
+      (** {!Campaign.fingerprint} of the end-of-run metrics image —
+          byte-stable across two runs of the same config *)
   rp_metrics : Horus_obs.Json.t;
   rp_elapsed : float;  (** virtual seconds *)
   rp_repro : string option;
@@ -63,7 +63,7 @@ type report = {
           directory was configured *)
 }
 
-val run : ?repro_dir:string -> ?skip_inert:bool -> ?fastpath:bool -> config -> report
+val run : ?repro_dir:string -> ?fastpath:bool -> config -> report
 (** Execute the soak. On violation a repro file (with
     [expect_violation] set) is saved to [repro_dir] (default:
     [$HORUS_REPRO_DIR], best-effort). *)
@@ -72,33 +72,14 @@ val ok : report -> bool
 (** No online or final violations. *)
 
 val to_json : report -> Horus_obs.Json.t
-val to_string : report -> string
 
-(** {1 Sharded soak}
+(** {1 As a campaign} *)
 
-    The "sharded cells" model: [run_sharded ~shards] runs [shards]
-    independent, complete soak cells — same config, seed offset by the
-    shard index — one per OCaml domain over the {!Horus_transport.Shard}
-    fabric. Every cell is an ordinary single-threaded deterministic
-    run, and the combined fingerprint folds the per-cell fingerprints
-    in shard order, so it is a pure function of (config, shards) no
-    matter how the domains interleave. With [shards = 1] the cell runs
-    on the calling domain and {!sharded_report.sh_fingerprint} equals
-    the plain run's [rp_metrics_fingerprint] exactly. *)
+val cell : ?repro_dir:string -> ?fastpath:bool -> shards:int -> config -> int -> report
+(** Cell [i] of a [shards]-cell {!Campaign}: the config with its seed
+    offset by [i], named by {!Campaign.cell_name}. *)
 
-type sharded_report = {
-  sh_shards : int;
-  sh_reports : report array;  (** in shard order *)
-  sh_fingerprint : int64;     (** deterministic combined fingerprint *)
-  sh_wall : float;            (** wall seconds of the parallel section *)
-}
-
-val run_sharded :
-  ?repro_dir:string -> ?skip_inert:bool -> ?fastpath:bool -> shards:int ->
-  config -> sharded_report
-(** Raises [Invalid_argument] if [shards < 1]. *)
-
-val sharded_ok : sharded_report -> bool
-
-val sharded_to_json : sharded_report -> Horus_obs.Json.t
-val sharded_to_string : sharded_report -> string
+val campaign : report Campaign.t
+(** A cell's key is ["<outcome>:<metrics>"] (both fingerprints, hex),
+    so a double run compares both; a one-cell campaign's combined
+    fingerprint is [rp_metrics_fingerprint]. *)

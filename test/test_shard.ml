@@ -1,12 +1,18 @@
 (* The sharded fabric: placement (gid hash + pins), mailbox post/drain
    accounting, the run harness (shard order, exception propagation),
-   the kernel-bypass backend wrapper, and the determinism contract —
-   a sharded soak with shards=1 fingerprints identically to the plain
-   single-threaded run. Also the driver-scaling regression: a driver
-   hosting more backends than FD_SETSIZE still delivers. *)
+   the kernel-bypass backend wrapper, and the determinism contract of
+   the campaign harness — a one-cell soak fingerprints identically to
+   the plain single-threaded run, multi-cell folds are pinned, and the
+   double-run gate compares every cell's key. Also the driver-scaling
+   regression: a driver hosting more backends than FD_SETSIZE still
+   delivers. *)
 
 module T = Horus_transport
 module Shard = Horus_transport.Shard
+module Campaign = Horus_check.Campaign
+module Soak = Horus_check.Soak
+module Churn = Horus_check.Churn
+module Json = Horus_obs.Json
 
 (* --- placement ----------------------------------------------------- *)
 
@@ -126,37 +132,106 @@ let bypass_diverts_and_falls_back () =
 (* --- determinism: sharded cells ------------------------------------ *)
 
 let small_soak =
-  { Horus_check.Soak.default_config with
-    Horus_check.Soak.c_name = "shard-test";
+  { Soak.default_config with
+    Soak.c_name = "shard-test";
     c_casts = 60;
     c_check_every = 0.5 }
 
+let soak_campaign ~shards = Campaign.run Soak.campaign ~shards (Soak.cell ~shards small_soak)
+
 (* shards=1 is the plain run, bit for bit: same report fingerprints,
-   and the combined fingerprint IS the metrics fingerprint. *)
+   the combined fingerprint IS the metrics fingerprint, and the report
+   is the cell's own. *)
 let sharded_one_equals_plain () =
   Horus_layers.Init.register_all ();
-  let plain = Horus_check.Soak.run small_soak in
-  let s = Horus_check.Soak.run_sharded ~shards:1 small_soak in
-  Alcotest.(check int) "one cell" 1 (Array.length s.Horus_check.Soak.sh_reports);
-  let cell = s.Horus_check.Soak.sh_reports.(0) in
-  Alcotest.(check bool) "cell passed" true (Horus_check.Soak.ok cell);
+  let plain = Soak.run small_soak in
+  let s = soak_campaign ~shards:1 in
+  Alcotest.(check int) "one cell" 1 (Array.length s.Campaign.cells);
+  let cell = s.Campaign.cells.(0) in
+  Alcotest.(check bool) "cell passed" true (Soak.ok cell);
   Alcotest.(check int64) "metrics fingerprint identical"
-    plain.Horus_check.Soak.rp_metrics_fingerprint
-    cell.Horus_check.Soak.rp_metrics_fingerprint;
+    plain.Soak.rp_metrics_fingerprint cell.Soak.rp_metrics_fingerprint;
+  Alcotest.(check int64) "outcome fingerprint identical"
+    plain.Soak.rp_outcome_fingerprint cell.Soak.rp_outcome_fingerprint;
   Alcotest.(check int64) "combined = plain"
-    plain.Horus_check.Soak.rp_metrics_fingerprint
-    s.Horus_check.Soak.sh_fingerprint
+    plain.Soak.rp_metrics_fingerprint s.Campaign.combined;
+  Alcotest.(check string) "report is the cell's own"
+    (Json.to_string ~indent:false (Soak.to_json plain))
+    (Json.to_string ~indent:false (Campaign.to_json Soak.campaign s))
 
 (* Two shards on two real domains, run twice: the combined fingerprint
    is a pure function of (config, shards) no matter how the domains
    interleaved. *)
 let sharded_double_run_agrees () =
   Horus_layers.Init.register_all ();
-  let a = Horus_check.Soak.run_sharded ~shards:2 small_soak in
-  let b = Horus_check.Soak.run_sharded ~shards:2 small_soak in
-  Alcotest.(check bool) "first passed" true (Horus_check.Soak.sharded_ok a);
-  Alcotest.(check int64) "fingerprints agree"
-    a.Horus_check.Soak.sh_fingerprint b.Horus_check.Soak.sh_fingerprint
+  let a = soak_campaign ~shards:2 in
+  let b = soak_campaign ~shards:2 in
+  Alcotest.(check bool) "first passed" true (Campaign.ok Soak.campaign a);
+  Alcotest.(check int64) "fingerprints agree" a.Campaign.combined b.Campaign.combined;
+  Alcotest.(check (list string)) "every cell's key agrees"
+    (Array.to_list (Array.map Soak.campaign.Campaign.key a.Campaign.cells))
+    (Array.to_list (Array.map Soak.campaign.Campaign.key b.Campaign.cells));
+  match Campaign.to_json Soak.campaign a with
+  | Json.Obj fields ->
+    Alcotest.(check (list string)) "multi-cell report keys"
+      [ "shards"; "ok"; "fingerprint"; "wall_seconds"; "cells" ]
+      (List.map fst fields)
+  | _ -> Alcotest.fail "multi-cell report is not an object"
+
+(* The two-cell folds, pinned: each cell's key, joined by '|' in shard
+   order, hashed. These values predate the campaign harness; a change
+   to the fold, the keys or the fingerprint construction moves them. *)
+let soak_fold_pinned () =
+  Horus_layers.Init.register_all ();
+  let s = soak_campaign ~shards:2 in
+  Alcotest.(check string) "soak 2-cell fingerprint" "9e4f485bf7857abb"
+    (Printf.sprintf "%016Lx" s.Campaign.combined)
+
+(* test_hier.ml's toy churn shape. *)
+let churn_config =
+  { Churn.default_config with
+    Churn.h_name = "churn-test";
+    h_endpoints = 24;
+    h_subgroups = 4;
+    h_waves = 2;
+    h_casts_per_wave = 4 }
+
+let churn_fold_pinned () =
+  let s = Campaign.run Churn.campaign ~shards:2 (Churn.cell ~shards:2 churn_config) in
+  Alcotest.(check bool) "both cells passed" true (Campaign.ok Churn.campaign s);
+  Alcotest.(check string) "churn 2-cell fingerprint" "fd20d0decccf494e"
+    (Printf.sprintf "%016Lx" s.Campaign.combined)
+
+(* --- the double-run gate -------------------------------------------- *)
+
+(* A cell whose own fingerprint never changes but whose key differs
+   between runs: the one-cell combined fingerprint agrees, so only a
+   key comparison catches it. *)
+let fake =
+  { Campaign.ok = (fun (_, ok) -> ok);
+    fingerprint = (fun _ -> 42L);
+    key = fst;
+    to_json = (fun (k, ok) -> Json.Obj [ ("key", Json.String k); ("ok", Json.Bool ok) ]) }
+
+let gate ?report cell =
+  Campaign.gate fake ?report ~double_run:true ~summary:ignore ~passed:"passed" ~shards:1
+    cell
+
+let gate_compares_keys () =
+  let runs = ref 0 in
+  let drifting _ = incr runs; (Printf.sprintf "run%d" !runs, true) in
+  Alcotest.(check int) "drifting key fails the gate" 1 (gate drifting);
+  Alcotest.(check int) "ran twice" 2 !runs;
+  Alcotest.(check int) "steady key passes" 0 (gate (fun _ -> ("same", true)));
+  let report = Filename.temp_file "campaign" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove report)
+    (fun () ->
+       Alcotest.(check int) "failing cell fails the gate" 1
+         (gate ~report (fun _ -> ("same", false)));
+       let written = In_channel.with_open_bin report In_channel.input_all in
+       Alcotest.(check string) "one-cell report is the cell's own"
+         "{\n  \"key\": \"same\",\n  \"ok\": false\n}\n" written)
 
 (* --- driver scaling: more backends than FD_SETSIZE ------------------ *)
 
@@ -212,7 +287,10 @@ let () =
             bypass_diverts_and_falls_back ] );
       ( "determinism",
         [ Alcotest.test_case "shards=1 equals the plain run" `Slow sharded_one_equals_plain;
-          Alcotest.test_case "sharded double run agrees" `Slow sharded_double_run_agrees ] );
+          Alcotest.test_case "sharded double run agrees" `Slow sharded_double_run_agrees;
+          Alcotest.test_case "soak 2-cell fold pinned" `Slow soak_fold_pinned;
+          Alcotest.test_case "churn 2-cell fold pinned" `Slow churn_fold_pinned;
+          Alcotest.test_case "double-run gate compares keys" `Quick gate_compares_keys ] );
       ( "driver",
         [ Alcotest.test_case "1200 backends on one driver" `Quick driver_hosts_1200_backends;
           Alcotest.test_case "aux hook pumped" `Quick driver_aux_is_pumped ] ) ]

@@ -1,8 +1,8 @@
 (* Scenario workloads for the experiment harness: group formation,
    traffic generation, and simulated-metric measurements (wire packets,
-   bytes, simulated latencies). Wall-clock microbenchmarks live in
-   main.ml; these functions measure *protocol* costs, which are
-   deterministic in the seed. *)
+   bytes, simulated latencies). These functions measure *protocol*
+   costs, which are deterministic in the seed; wall-clock costs are
+   bench/perf's. *)
 
 open Horus
 
@@ -250,125 +250,3 @@ let total_order_latency ?(msgs_each = 5) ~n () =
     end
   in
   poll ()
-
-(* T1: the same two-member cast workload over the three attachments —
-   the simulated net, the in-process loopback backend (real transport
-   path: frame codec, peer book, backend stats; virtual time), and real
-   UDP sockets on 127.0.0.1 pumped by the wall-clock driver. Throughput
-   is wall-clock in every mode (all protocol work is executed for
-   real); the one-way latency is measured on whichever clock drives the
-   mode, named in [t_clock]. *)
-type transport_run = {
-  t_throughput : float;  (* casts per wall second, sender to receiver *)
-  t_latency_s : float;   (* single-cast one-way latency *)
-  t_clock : string;      (* basis of t_latency_s: "virtual" | "wall" *)
-  t_complete : bool;     (* receiver saw every cast *)
-  t_bad_frames : int;
-}
-
-let transport_pair ?(spec = "TOTAL:MBRSHIP:FRAG:NAK:COM") ?(size = 64)
-    ?(interval = 0.0005) ~mode ~casts () =
-  let world = World.create () in
-  let g = World.fresh_group_addr world in
-  let link = Transport_link.create world in
-  let backends, endpoints =
-    match mode with
-    | `Sim -> ([], List.init 2 (fun _ -> Endpoint.create world ~spec))
-    | `Loopback ->
-      let hub = Transport.Loopback.hub (World.engine world) in
-      let peers = Transport.Peers.create () in
-      let backends =
-        List.init 2 (fun r ->
-            let b = Transport.Loopback.create ~addr:(Printf.sprintf "mem:%d" r) hub in
-            Transport.Peers.add peers ~rank:r ~addr:b.Transport.Backend.local_addr;
-            b)
-      in
-      ( backends,
-        List.mapi
-          (fun r backend -> Transport_link.endpoint link ~backend ~peers ~rank:r ~spec)
-          backends )
-    | `Udp ->
-      (* Ephemeral ports: bind first, read the kernel's choice back,
-         then share it through the peer book. *)
-      let backends = List.init 2 (fun _ -> Transport.Udp.create ~bind:"127.0.0.1:0" ()) in
-      let peers = Transport.Peers.create () in
-      List.iteri
-        (fun r (b : Transport.Backend.t) ->
-           Transport.Peers.add peers ~rank:r ~addr:b.Transport.Backend.local_addr)
-        backends;
-      ( backends,
-        List.mapi
-          (fun r backend -> Transport_link.endpoint link ~backend ~peers ~rank:r ~spec)
-          backends )
-  in
-  let driver =
-    match mode with
-    | `Udp -> Some (Transport.Driver.create (World.engine world) backends)
-    | `Sim | `Loopback -> None
-  in
-  (* Advance on the mode's clock until [pred] holds. *)
-  let run_until ~timeout pred =
-    match driver with
-    | Some d -> Transport.Driver.run_until ~timeout d pred
-    | None ->
-      let deadline = World.now world +. timeout in
-      let rec loop () =
-        if pred () then true
-        else if World.now world >= deadline then pred ()
-        else begin
-          (* Fine slices: the virtual clock only advances in these
-             steps, so they bound the latency resolution below. *)
-          World.run_for world ~duration:0.0005;
-          loop ()
-        end
-      in
-      loop ()
-  in
-  let now () =
-    match driver with Some d -> Transport.Driver.now d | None -> World.now world
-  in
-  let sender_ep, receiver_ep =
-    match endpoints with [ a; b ] -> (a, b) | _ -> assert false
-  in
-  let sender = Group.join ~record:false sender_ep g in
-  let receiver = Group.join ~record:false ~contact:(Group.addr sender) receiver_ep g in
-  let received = ref 0 in
-  Group.set_on_up receiver (fun ev ->
-      match ev with Horus_hcpi.Event.U_cast _ -> incr received | _ -> ());
-  let formed =
-    run_until ~timeout:15.0 (fun () ->
-        match Group.view receiver with Some v -> View.size v = 2 | None -> false)
-  in
-  if not formed then failwith "transport_pair: group did not form";
-  let payload = String.make size 'x' in
-  let wall0 = Unix.gettimeofday () in
-  for k = 0 to casts - 1 do
-    World.after world ~delay:(interval *. float_of_int (k + 1)) (fun () ->
-        Group.cast sender payload)
-  done;
-  let complete =
-    run_until ~timeout:(30.0 +. (interval *. float_of_int casts)) (fun () ->
-        !received >= casts)
-  in
-  let wall_dt = Unix.gettimeofday () -. wall0 in
-  (* Single-cast one-way latency on the mode's clock, averaged. *)
-  let rounds = 10 in
-  let total = ref 0.0 and got = ref 0 in
-  for _ = 1 to rounds do
-    let base = !received in
-    let t0 = now () in
-    Group.cast sender payload;
-    if run_until ~timeout:5.0 (fun () -> !received > base) then begin
-      total := !total +. (now () -. t0);
-      incr got
-    end
-  done;
-  { t_throughput = float_of_int casts /. wall_dt;
-    t_latency_s = (if !got = 0 then Float.nan else !total /. float_of_int !got);
-    t_clock = (match mode with `Udp -> "wall" | `Sim | `Loopback -> "virtual");
-    t_complete = complete;
-    t_bad_frames =
-      List.fold_left
-        (fun acc (b : Transport.Backend.t) ->
-           acc + b.Transport.Backend.stats.Transport.Backend.bad_frame)
-        0 backends }

@@ -84,11 +84,10 @@ let check_cmd =
        Format.printf "provides: %a@." P.Set.pp props;
        (match Horus_props.Check.trace ~net (List.map Horus_props.Layer_spec.find_exn names) with
         | Ok steps ->
-          let labels = "(net)" :: List.rev ("(top)" :: List.tl (List.rev_map (fun n -> "above " ^ n) (List.rev names))) in
-          ignore labels;
+          let bottom_up = Array.of_list (List.rev names) in
           List.iteri
             (fun i s ->
-               let label = if i = 0 then "(net)" else "above " ^ List.nth (List.rev names) (i - 1) in
+               let label = if i = 0 then "(net)" else "above " ^ bottom_up.(i - 1) in
                Format.printf "  %-16s %a@." label P.Set.pp s)
             steps
         | Error _ -> ())

@@ -77,8 +77,8 @@ let record_up t (ev : Event.up) =
   | Event.U_flush _ when t.auto_flush_ok -> Stack.down t.stack Event.D_flush_ok
   | _ -> ()
 
-let join ?contact ?on_up ?(auto_flush_ok = true) ?(record = true) ?(skip_inert = false)
-    ?(fastpath = false) endpoint group =
+let join ?contact ?on_up ?(auto_flush_ok = true) ?(record = true) ?(fastpath = false)
+    endpoint group =
   let world = Endpoint.world endpoint in
   let gid = Addr.group_id group in
   let rec t =
@@ -92,7 +92,6 @@ let join ?contact ?on_up ?(auto_flush_ok = true) ?(record = true) ?(skip_inert =
             ~transport:(Endpoint.transport endpoint ~gid)
             ~rendezvous:(World.rendezvous world)
             ~storage:(World.storage world)
-            ~skip_inert
             ~fastpath
             ~metrics:(World.metrics world)
             ~trace:(fun ~layer ~category detail ->

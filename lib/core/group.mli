@@ -20,7 +20,6 @@ val join :
   ?on_up:(Event.up -> unit) ->
   ?auto_flush_ok:bool ->
   ?record:bool ->
-  ?skip_inert:bool ->
   ?fastpath:bool ->
   Endpoint.t -> Addr.group -> t
 (** Instantiate the endpoint's stack for [group] and issue the join
@@ -28,13 +27,10 @@ val join :
     with the group [c] belongs to. [auto_flush_ok] (default true)
     answers FLUSH upcalls with the flush_ok downcall automatically.
     [record] (default true) keeps the delivery/event logs below; turn
-    it off for long-running benchmarks. [skip_inert] (default false)
-    enables the Section 10 layer-skipping optimization, bypassing
-    inert layers at emission time — observable behaviour must not
-    change (test/test_conformance.ml asserts the equivalence).
-    [fastpath] (default false) enables the fused steady-state cast
-    path (see {!Horus_hcpi.Stack.create}); likewise
-    outcome-preserving, asserted by test/test_fastpath.ml. *)
+    it off for long-running benchmarks. [fastpath] (default false)
+    enables the fused steady-state cast path (see
+    {!Horus_hcpi.Stack.create}), which skips inert layers outright;
+    it is outcome-preserving, asserted by test/test_fastpath.ml. *)
 
 (** {1 Table 1 downcalls} *)
 

@@ -3,14 +3,14 @@
 
    One link per world. Two binding shapes:
 
-   - [attach]: the classic one-endpoint-per-socket wiring. Every frame
-     the socket receives belongs to that endpoint; the endpoint's own
-     per-gid route table finishes the demux.
+   - [attach]: the classic one-endpoint-per-socket wiring: a mux of
+     its own whose group table holds only that endpoint's groups, and
+     whose socket closes when the endpoint crashes.
 
    - [mux] / [attach_mux]: one socket pair carries many endpoints and
      many groups. Outgoing packets are framed as before (Frame codec:
      src endpoint, group address, CRC); incoming frames are demuxed on
-     the frame [gid] through the link's group table — populated
+     the frame [gid] through the mux's group table — populated
      automatically as stacks join groups (Endpoint.set_route_hook) —
      and routed into whichever local endpoint owns that group. One
      socket therefore holds at most one member of any given group,
@@ -19,23 +19,21 @@
      as the directory client can claim a gid on the same socket with
      [route_raw].
 
-   The demux is shard-routable: a sharded process ({!Horus_transport.
-   Shard}) gives each mux a router consulted for frames whose gid no
-   local table owns — the router forwards the raw frame to the owning
-   shard's mailbox and the frame is re-dispatched there through
-   [inject], the mailbox-side entry into the same demux. When the
-   backend offers a batched rx path, the link also installs a
+   When the backend offers a batched rx path, the link also installs a
    zero-copy [rx_view] (decoding straight out of the backend's buffer
    ring via [Frame.decode_view]); the plain rx callback stays installed
    for scalar drains. Either way the payload is copied exactly once,
    into the stack's [Msg]; going out, a datagram is framed once and the
    same bytes go to every destination.
 
-   Frames whose gid matches no local group (and no router takes) are
-   dropped and counted in the [transport.unknown_gid] metric; garbled
-   or truncated frames are counted per-backend as before. The link
-   registers one metrics exporter with the world, so snapshots grow a
-   [transport.*] section summing every backend it manages. *)
+   Frames whose gid matches no local group are dropped and counted in
+   the [transport.unknown_gid] metric; garbled or truncated frames are
+   counted per-backend as before. Cross-shard routing happens below
+   the link, in [Horus_transport.Shard.bypass] backends: a frame for a
+   co-resident shard reaches that shard's link through its bypass
+   backend's rx. The link registers one metrics exporter with the
+   world, so snapshots grow a [transport.*] section summing every
+   backend it manages. *)
 
 open Horus_msg
 module T = Horus_transport
@@ -46,49 +44,29 @@ type mux = {
   mx_groups : (int, Endpoint.t) Hashtbl.t;  (* gid -> owning local endpoint *)
   mx_raw : (int, src:string -> Bytes.t -> unit) Hashtbl.t;
       (* gid -> raw frame handler (directory client, diagnostics) *)
-  mutable mx_default : Endpoint.t option;
-      (* legacy single-endpoint socket: every gid routes here *)
-  mutable mx_router : (gid:int -> src:string -> Bytes.t -> bool) option;
-      (* last-chance demux for a sharded process: true = frame taken *)
-  mutable mx_forwarded : int;  (* frames the router took *)
-  mutable mx_inject : src:string -> Bytes.t -> unit;
-      (* mailbox-side entry into this mux's demux, set by install_rx *)
 }
 
 type t = {
   world : World.t;
   prefix : string;
   mutable backends : T.Backend.t list;
-  mutable muxes : mux list;
   mutable unknown_gid : int;  (* frames demuxed to no local group *)
 }
 
 let create ?(prefix = "transport") world =
-  let t = { world; prefix; backends = []; muxes = []; unknown_gid = 0 } in
+  let t = { world; prefix; backends = []; unknown_gid = 0 } in
   World.add_metrics_exporter world (fun m ->
       T.Backend.export_metrics_sum ~prefix:t.prefix (List.rev t.backends) m;
       Horus_obs.Metrics.(
-        set_counter (counter m (t.prefix ^ ".unknown_gid")) t.unknown_gid;
-        set_counter
-          (counter m (t.prefix ^ ".forwarded"))
-          (List.fold_left (fun acc mx -> acc + mx.mx_forwarded) 0 t.muxes)));
+        set_counter (counter m (t.prefix ^ ".unknown_gid")) t.unknown_gid));
   t
-
-let world t = t.world
-
-let backends t = List.rev t.backends
 
 let unknown_gid t = t.unknown_gid
 
-(* Demux one decoded frame: a raw route, the owning endpoint from the
-   group table, the legacy default endpoint, or — for a sharded
-   process — the shard router's forward. The payload is bytes
-   [poff .. poff + plen) of [buf]; it is copied out once, into whatever
-   consumes it. [raw] materializes the whole frame only when the router
-   actually needs it (on the zero-copy rx path the frame is a view into
-   a reusable ring, so forwarding is where the copy happens, and only
-   then). *)
-let dispatch t mux ~src ~raw hdr buf poff plen =
+(* Demux one decoded frame: a raw route or the owning endpoint from the
+   group table. The payload is bytes [poff .. poff + plen) of [buf]; it
+   is copied out once, into whatever consumes it. *)
+let dispatch t mux ~src hdr buf poff plen =
   let gid = Addr.group_id hdr.T.Frame.h_group in
   match Hashtbl.find_opt mux.mx_raw gid with
   | Some handler -> handler ~src (Bytes.sub buf poff plen)
@@ -101,35 +79,26 @@ let dispatch t mux ~src ~raw hdr buf poff plen =
     in
     match Hashtbl.find_opt mux.mx_groups gid with
     | Some endpoint -> deliver endpoint
-    | None -> (
-      match mux.mx_default with
-      | Some endpoint -> deliver endpoint
-      | None -> (
-        match mux.mx_router with
-        | Some router when router ~gid ~src (raw ()) ->
-          mux.mx_forwarded <- mux.mx_forwarded + 1
-        | Some _ | None -> t.unknown_gid <- t.unknown_gid + 1)))
+    | None -> t.unknown_gid <- t.unknown_gid + 1)
 
 (* Shared rx for a socket: decode once, then demux on the frame gid.
    Trust the authenticated-by-CRC header's src over the socket
    address: the peer book names ranks, the kernel names ports. Both
    entries are installed — the zero-copy view for batched drains (the
    backend ignores it if it has none), the plain callback for scalar
-   drains and mailbox injection. *)
+   drains. *)
 let install_rx t mux =
   let stats = mux.mx_backend.T.Backend.stats in
   let on_rx ~src frame =
     match T.Frame.decode_view frame ~off:0 ~len:(Bytes.length frame) with
-    | Ok (hdr, poff, plen) -> dispatch t mux ~src ~raw:(fun () -> frame) hdr frame poff plen
+    | Ok (hdr, poff, plen) -> dispatch t mux ~src hdr frame poff plen
     | Error _ -> stats.T.Backend.bad_frame <- stats.T.Backend.bad_frame + 1
   in
-  mux.mx_inject <- on_rx;
   mux.mx_backend.T.Backend.set_rx on_rx;
   ignore
     (T.Backend.set_rx_view mux.mx_backend (fun ~src ~buf ~off ~len ->
          match T.Frame.decode_view buf ~off ~len with
-         | Ok (hdr, poff, plen) ->
-           dispatch t mux ~src ~raw:(fun () -> Bytes.sub buf off len) hdr buf poff plen
+         | Ok (hdr, poff, plen) -> dispatch t mux ~src hdr buf poff plen
          | Error _ -> stats.T.Backend.bad_frame <- stats.T.Backend.bad_frame + 1))
 
 let mux t ~backend ~peers =
@@ -137,14 +106,9 @@ let mux t ~backend ~peers =
     { mx_backend = backend;
       mx_peers = peers;
       mx_groups = Hashtbl.create 8;
-      mx_raw = Hashtbl.create 2;
-      mx_default = None;
-      mx_router = None;
-      mx_forwarded = 0;
-      mx_inject = (fun ~src:_ _ -> ()) }
+      mx_raw = Hashtbl.create 2 }
   in
   t.backends <- backend :: t.backends;
-  t.muxes <- m :: t.muxes;
   install_rx t m;
   m
 
@@ -152,16 +116,6 @@ let route_raw m ~gid handler =
   if Hashtbl.mem m.mx_raw gid then
     invalid_arg "Transport_link.route_raw: gid already claimed";
   Hashtbl.replace m.mx_raw gid handler
-
-let unroute_raw m ~gid = Hashtbl.remove m.mx_raw gid
-
-let mux_backend m = m.mx_backend
-
-let set_shard_router m router = m.mx_router <- Some router
-
-let forwarded m = m.mx_forwarded
-
-let inject m ~src frame = m.mx_inject ~src frame
 
 (* The per-endpoint attachment over a shared socket. Group routes the
    endpoint registers are mirrored into the mux's group table; a crash
@@ -213,14 +167,11 @@ let attach_mux _t mux endpoint : Endpoint.attachment =
            !bound;
          bound := []) }
 
-(* Legacy wiring: a dedicated socket whose every frame belongs to one
-   endpoint. Implemented as a mux with a default route, so the
-   unknown-gid accounting is shared; the crash path closes the socket
-   (nobody else is on it). *)
+(* A dedicated socket: a mux of its own carrying one endpoint, so the
+   demux and the unknown-gid accounting are shared; the crash path
+   closes the socket (nobody else is on it). *)
 let attach t ~backend ~peers endpoint : Endpoint.attachment =
-  let m = mux t ~backend ~peers in
-  m.mx_default <- Some endpoint;
-  { (attach_mux t m endpoint) with
+  { (attach_mux t (mux t ~backend ~peers) endpoint) with
     Endpoint.a_crash = (fun () -> backend.T.Backend.close ()) }
 
 (* The deployment one-liners: an endpoint pinned at [rank], bound to

@@ -6,23 +6,20 @@
     exporter so snapshots gain a [transport.*] section summing every
     backend it manages.
 
-    Two binding shapes: {!attach} dedicates a socket to one endpoint;
-    {!mux}/{!attach_mux} multiplexes many endpoints and many groups
-    over one socket pair, demuxing incoming frames on the frame [gid]
-    through a per-link group table that tracks which local endpoint
-    owns each group (at most one member of a group per socket). Frames
-    for gids no local stack has joined are dropped and counted in the
-    [transport.unknown_gid] metric. *)
+    Both binding shapes share one demux. {!mux}/{!attach_mux}
+    multiplexes many endpoints and many groups over one socket pair,
+    demuxing incoming frames on the frame [gid] through a per-mux group
+    table that tracks which local endpoint owns each group (at most one
+    member of a group per socket). {!attach} dedicates a socket to one
+    endpoint: a mux of its own, closed when the endpoint crashes.
+    Frames for gids no local stack has joined are dropped and counted
+    in the [transport.unknown_gid] metric. Cross-shard routing happens
+    below the link, in {!Horus_transport.Shard.bypass} backends. *)
 
 type t
 
 val create : ?prefix:string -> World.t -> t
 (** [prefix] (default ["transport"]) names the metrics section. *)
-
-val world : t -> World.t
-
-val backends : t -> Horus_transport.Backend.t list
-(** In attach order. *)
 
 val unknown_gid : t -> int
 (** Frames received whose gid matched no local group (also exported as
@@ -57,8 +54,6 @@ val mux :
   t -> backend:Horus_transport.Backend.t -> peers:Horus_transport.Peers.t -> mux
 (** Claim [backend]'s rx for the shared demux. *)
 
-val mux_backend : mux -> Horus_transport.Backend.t
-
 val attach_mux : t -> mux -> Endpoint.t -> Endpoint.attachment
 (** Attach one more endpoint to the shared socket. The groups the
     endpoint joins are mirrored into the demux table as its stacks
@@ -70,23 +65,6 @@ val attach_mux : t -> mux -> Endpoint.t -> Endpoint.attachment
 val mux_endpoint : t -> mux -> rank:int -> spec:string -> Endpoint.t
 (** The shared-socket deployment one-liner. *)
 
-val set_shard_router : mux -> (gid:int -> src:string -> Bytes.t -> bool) -> unit
-(** Last-chance demux for a sharded process: consulted (with the raw,
-    still-encoded frame) for frames whose gid no local table owns.
-    Return [true] to take the frame — typically posting it to the
-    owning shard's mailbox, where it re-enters that shard's mux via
-    {!inject}; [false] falls through to the unknown-gid drop. The
-    frame handed over is a private copy. *)
-
-val forwarded : mux -> int
-(** Frames the shard router took (also summed into the
-    [transport.forwarded] counter). *)
-
-val inject : mux -> src:string -> Bytes.t -> unit
-(** Feed a raw encoded frame into the mux's demux exactly as if the
-    socket had received it from [src] — the entry point for frames
-    arriving over an inter-shard mailbox rather than the wire. *)
-
 val route_raw : mux -> gid:int -> (src:string -> Bytes.t -> unit) -> unit
 (** Claim a gid on the shared socket for a non-stack protocol (the
     directory client rides its reserved gid this way): matching frames
@@ -94,5 +72,3 @@ val route_raw : mux -> gid:int -> (src:string -> Bytes.t -> unit) -> unit
     CRC-checked and stripped to their payload. [src] is the socket
     source address. Raises [Invalid_argument] if the gid is already
     claimed. *)
-
-val unroute_raw : mux -> gid:int -> unit

@@ -127,9 +127,9 @@ type instance = {
   stop : unit -> unit;            (* cancel timers etc. on destroy *)
   inert : bool;
       (* Declares that both handlers forward every event untouched, so
-         the stack may bypass this layer entirely — the layer-skipping
-         optimization of Section 10. Only truly inert layers (NOOP) may
-         set it. *)
+         the fused fast path may leave this layer out entirely — the
+         layer-skipping optimization of Section 10. Only truly inert
+         layers (NOOP) may set it. *)
 }
 
 type ctor = env -> instance

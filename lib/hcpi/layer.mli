@@ -89,8 +89,9 @@ type instance = {
   dump : unit -> string list;
   stop : unit -> unit;
   inert : bool;
-      (** both handlers forward everything untouched; the stack may
-          bypass the layer (Section 10's layer-skipping remedy) *)
+      (** both handlers forward everything untouched; the fused fast
+          path leaves the layer out (Section 10's layer-skipping
+          remedy) *)
 }
 
 type ctor = env -> instance

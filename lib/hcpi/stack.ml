@@ -59,7 +59,6 @@ type t = {
   obs : obs option;
   to_app : Event.up -> unit;
   to_below : Event.down -> unit;
-  skip_inert : bool;
   (* --- fused fast path (Section 10's remedies, combined) --- *)
   fp_enabled : bool;
   fp_pool : Horus_msg.Pool.t;               (* header blocks for Seg *)
@@ -159,8 +158,7 @@ let fp_invalidate_path t =
 (* (Re)compile: every non-inert layer above the bottom must offer a
    fused form right now, and the bottom adapter must offer its framing
    pair. Inert layers are skipped outright — they forward everything
-   untouched, so omitting them is outcome-equivalent whether or not
-   the queue-level [skip_inert] optimization is on. A failed compile
+   untouched, so omitting them is outcome-equivalent. A failed compile
    leaves the path empty; it is retried on the next dirtying event
    (every transition that could enable fusing involves one). *)
 let fp_compile t =
@@ -215,12 +213,7 @@ let fp_ready t =
    fused cast is delivered through the normal queue, exactly as the
    full path's local delivery would be. *)
 let fp_emit_above_bottom t ev =
-  let rec next_up i =
-    if i < 0 then -1
-    else if t.skip_inert && t.layers.(i).Layer.inert then next_up (i - 1)
-    else i
-  in
-  let j = next_up (Array.length t.layers - 2) in
+  let j = Array.length t.layers - 2 in
   enqueue t (if j < 0 then To_app ev else Up (j, ev))
 
 let fp_try_send t m =
@@ -299,7 +292,7 @@ let fp_try_deliver t m =
           true)
 
 let create ~engine ~endpoint ~group ~prng ~transport ~rendezvous
-    ?(storage = Layer.null_storage) ?(skip_inert = false) ?(fastpath = false)
+    ?(storage = Layer.null_storage) ?(fastpath = false)
     ?metrics ~trace ~to_app ?(to_below = default_to_below) spec =
   let n = List.length spec in
   if n = 0 then invalid_arg "Stack.create: empty spec";
@@ -345,7 +338,6 @@ let create ~engine ~endpoint ~group ~prng ~transport ~rendezvous
       obs;
       to_app;
       to_below;
-      skip_inert;
       fp_enabled = fastpath;
       fp_pool = Horus_msg.Pool.create ();
       fp_send_compilers = Array.make n None;
@@ -354,29 +346,9 @@ let create ~engine ~endpoint ~group ~prng ~transport ~rendezvous
       fp_dirty = fastpath;  (* compile lazily, once the stack settles *)
       fp_obs }
   in
-  (* Layer-skipping (Section 10, remedy 1): with [skip_inert], an
-     emission bypasses any run of inert layers in its direction. The
-     instances array is knot-tied, so inertness is consulted lazily at
-     emission time, after construction completed. *)
-  let rec next_down i =
-    if i >= n then n
-    else if skip_inert && t.layers.(i).Layer.inert then next_down (i + 1)
-    else i
-  in
-  let rec next_up i =
-    if i < 0 then -1
-    else if skip_inert && t.layers.(i).Layer.inert then next_up (i - 1)
-    else i
-  in
   let make i (name, params, (ctor : Params.t -> Layer.ctor)) =
-    let emit_up ev =
-      let j = next_up (i - 1) in
-      enqueue t (if j < 0 then To_app ev else Up (j, ev))
-    in
-    let emit_down ev =
-      let j = next_down (i + 1) in
-      enqueue t (if j >= n then To_below ev else Down (j, ev))
-    in
+    let emit_up ev = enqueue t (if i = 0 then To_app ev else Up (i - 1, ev)) in
+    let emit_down ev = enqueue t (if i + 1 >= n then To_below ev else Down (i + 1, ev)) in
     let set_timer ~delay f =
       Horus_sim.Engine.schedule engine ~delay (fun () ->
           if not t.destroyed then enqueue t (Thunk f))
@@ -401,9 +373,7 @@ let processed t = t.processed
 
 let layer_names t = Array.to_list t.names
 
-(* Application-level downcall: enters at the top. (The top entry is
-   not skipped even when inert: entry points stay stable for focus and
-   accounting; only inter-layer hops are optimized.) Casts try the
+(* Application-level downcall: enters at the top. Casts try the
    fused path first; everything else — and any cast the path declines
    — takes the full queue, with views dirtying the compiled path on
    the way in. *)

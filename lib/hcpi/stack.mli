@@ -15,7 +15,6 @@ val create :
   transport:Layer.transport ->
   rendezvous:Layer.rendezvous ->
   ?storage:Layer.storage ->
-  ?skip_inert:bool ->
   ?fastpath:bool ->
   ?metrics:Horus_obs.Metrics.t ->
   trace:(layer:string -> category:string -> string -> unit) ->

@@ -6,7 +6,6 @@
 
 open Horus_hcpi
 
-(* [inert] lets the stack's layer-skipping optimization bypass NOOP
-   entirely when enabled — the point of the experiment is to compare
-   the two configurations. *)
+(* [inert] lets the fused fast path leave NOOP out of its compiled
+   cast path, so padding costs nothing there. *)
 let create (_ : Params.t) env = Layer.passthrough ~name:"NOOP" ~inert:true env

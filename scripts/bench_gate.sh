@@ -3,8 +3,9 @@
 #
 # Re-runs the bench harness in --quick mode and compares the
 # deterministic ("simulated") section of the snapshot against the
-# committed baseline BENCH_horus.json. Wall-clock sections are
-# host-specific and never compared. Numeric drift beyond the
+# committed baseline BENCH_horus.json. The snapshot holds no
+# wall-clock values; those are bench/perf's, judged by its own
+# compare against BENCHMARK.json's bounds. Numeric drift beyond the
 # tolerance (default 15%, override with BENCH_GATE_TOLERANCE), or any
 # structural change (key added/removed, type changed), fails the gate.
 #

@@ -234,59 +234,6 @@ let test_system_error_without_membership () =
           loop 0)
        (Group.system_errors a))
 
-let test_layer_skipping () =
-  (* Section 10 remedy 1: inert layers are bypassed when skipping is
-     enabled; the stack's processed-event counter shows it. *)
-  Horus_layers.Init.register_all ();
-  let run ~skip_inert =
-    let engine = Horus_sim.Engine.create () in
-    let stack =
-      Horus_hcpi.Stack.create ~engine ~endpoint:(Addr.endpoint 0) ~group:(Addr.group 0)
-        ~prng:(Horus_util.Prng.create 1)
-        ~transport:
-          { Horus_hcpi.Layer.xmit = (fun ~dsts:_ _ -> ()); local_node = 0; mtu = 65536 }
-        ~rendezvous:Horus_hcpi.Layer.null_rendezvous ~skip_inert
-        ~trace:(fun ~layer:_ ~category:_ _ -> ())
-        ~to_app:(fun _ -> ())
-        ~to_below:(fun _ -> ())
-        (Spec.resolve (Spec.parse "NOOP:NOOP:NOOP:NOOP:COM"))
-    in
-    Horus_hcpi.Stack.down stack Horus_hcpi.Event.D_dump;
-    Horus_hcpi.Stack.processed stack
-  in
-  let plain = run ~skip_inert:false in
-  let skipping = run ~skip_inert:true in
-  Alcotest.(check int) "all five layers crossed" 5 plain;
-  Alcotest.(check int) "inert layers bypassed" 2 skipping
-
-let test_layer_skipping_preserves_delivery () =
-  (* skip_inert is not exposed through Group; verify at stack level that
-     a skipped stack still routes data end to end: inject a packet and
-     watch it surface. *)
-  Horus_layers.Init.register_all ();
-  let engine = Horus_sim.Engine.create () in
-  let seen = ref [] in
-  let stack =
-    Horus_hcpi.Stack.create ~engine ~endpoint:(Addr.endpoint 0) ~group:(Addr.group 0)
-      ~prng:(Horus_util.Prng.create 1)
-      ~transport:{ Horus_hcpi.Layer.xmit = (fun ~dsts:_ _ -> ()); local_node = 0; mtu = 65536 }
-      ~rendezvous:Horus_hcpi.Layer.null_rendezvous ~skip_inert:true
-      ~trace:(fun ~layer:_ ~category:_ _ -> ())
-      ~to_app:(fun ev ->
-          match ev with
-          | Event.U_cast (_, m, _) -> seen := Msg.to_string m :: !seen
-          | _ -> ())
-      ~to_below:(fun _ -> ())
-      (Spec.resolve (Spec.parse "NOOP:NOOP:COM"))
-  in
-  (* Self-delivery via loopback: give COM a view containing ourselves
-     and cast. *)
-  let v = View.create ~group:(Addr.group 0) ~ltime:0 ~members:[ Addr.endpoint 0 ] in
-  Horus_hcpi.Stack.down stack (Event.D_view v);
-  Horus_hcpi.Stack.down stack (Event.D_cast (Msg.create "skipped through"));
-  Alcotest.(check (list string)) "delivered through skipping stack" [ "skipped through" ]
-    !seen
-
 let () =
   Alcotest.run "com"
     [ ( "com",
@@ -308,9 +255,6 @@ let () =
           Alcotest.test_case "destroy" `Quick test_destroy_emits_destroy;
           Alcotest.test_case "leave" `Quick test_leave_emits_exit;
           Alcotest.test_case "SYSTEM_ERROR without membership" `Quick
-            test_system_error_without_membership;
-          Alcotest.test_case "layer skipping counters" `Quick test_layer_skipping;
-          Alcotest.test_case "layer skipping delivers" `Quick
-            test_layer_skipping_preserves_delivery ] );
+            test_system_error_without_membership ] );
       ( "socket",
         [ Alcotest.test_case "sendto/recvfrom" `Quick test_socket_facade ] ) ]

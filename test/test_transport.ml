@@ -584,6 +584,54 @@ let bad_frame_injection () =
     (List.nth backends 0).T.Backend.stats.T.Backend.bad_frame;
   Alcotest.(check (list string)) "stack unharmed" [ "after" ] (Group.casts b)
 
+(* The dedicated-socket demux ([Transport_link.endpoint]): each socket
+   carries one endpoint, and frames are demuxed on their gid exactly as
+   on a shared mux. A valid frame for a gid the endpoint never joined is
+   dropped and counted once; once the endpoint crashes its socket is
+   closed, so later frames are neither delivered nor counted. *)
+let dedicated_socket_demux () =
+  let world = World.create () in
+  let hub = T.Loopback.hub (World.engine world) in
+  let link = Transport_link.create world in
+  let peers = T.Peers.create () in
+  let backends =
+    List.init 2 (fun r ->
+        let b = T.Loopback.create ~addr:(Printf.sprintf "mem:%d" r) hub in
+        T.Peers.add peers ~rank:r ~addr:b.T.Backend.local_addr;
+        b)
+  in
+  let eps =
+    List.mapi (fun r backend -> Transport_link.endpoint link ~backend ~peers ~rank:r ~spec)
+      backends
+  in
+  let g = World.fresh_group_addr world in
+  let a = Group.join (List.nth eps 0) g in
+  let b = Group.join ~contact:(Group.addr a) (List.nth eps 1) g in
+  World.run_for world ~duration:2.0;
+  let unknown0 = Transport_link.unknown_gid link in
+  let rogue = T.Loopback.create hub in
+  let stray () =
+    rogue.T.Backend.send ~dest:"mem:1"
+      (T.Frame.encode ~src:(Addr.endpoint 0) ~group:(Addr.group 424242)
+         (Bytes.of_string "stray"))
+  in
+  stray ();
+  World.run_for world ~duration:0.5;
+  Alcotest.(check int) "unjoined gid counted once" (unknown0 + 1)
+    (Transport_link.unknown_gid link);
+  Alcotest.(check (list string)) "stray not delivered" [] (Group.casts b);
+  Group.cast a "joined";
+  World.run_for world ~duration:1.0;
+  Alcotest.(check (list string)) "joined gid delivered" [ "joined" ] (Group.casts b);
+  Endpoint.crash (List.nth eps 1);
+  stray ();
+  Group.cast a "after crash";
+  World.run_for world ~duration:1.0;
+  Alcotest.(check (list string)) "nothing delivered after crash" [ "joined" ]
+    (Group.casts b);
+  Alcotest.(check int) "nothing counted after crash" (unknown0 + 1)
+    (Transport_link.unknown_gid link)
+
 (* --- wall-clock driver -------------------------------------------- *)
 
 (* Real time, but bounded to tens of milliseconds: a timer scheduled on
@@ -785,7 +833,8 @@ let () =
            Alcotest.test_case "early-frame queue is bounded" `Quick loopback_pending_bounded;
            Alcotest.test_case "full stack: 1000 ordered casts" `Slow loopback_full_stack;
            Alcotest.test_case "snapshot deterministic" `Quick loopback_deterministic;
-           Alcotest.test_case "bad-frame injection" `Quick bad_frame_injection ] );
+           Alcotest.test_case "bad-frame injection" `Quick bad_frame_injection;
+           Alcotest.test_case "dedicated-socket gid demux" `Quick dedicated_socket_demux ] );
        ( "driver",
          [ Alcotest.test_case "fires engine timers on the wall clock" `Quick
              driver_fires_timers;

@@ -1,11 +1,20 @@
-(* horus_info: command-line front end to the catalogue and the property
-   algebra.
+(* horus_info: command-line front end to the catalogue, the property
+   algebra, the simulator, the checkers and the UDP deployment.
 
      horus_info layers            - Figure 1: the layer library
      horus_info table3            - Table 3: requires/provides/inherits
      horus_info table4            - Table 4: the sixteen properties
      horus_info check SPEC        - well-formedness + derived properties
      horus_info synth P6,P9,...   - minimal stack for a requirement set
+     horus_info order UP LOW      - does stacking order matter? (Section 8)
+     horus_info simulate          - a live group scenario, what each member saw
+     horus_info metrics           - the same, dumping the metrics registry
+     horus_info replay FILE       - re-run a repro file, check its outcome
+     horus_info explore           - systematic dispatch-schedule search
+     horus_info soak              - invariant-checked chaos soak
+     horus_info churn             - hierarchical churn soak (M4/M5)
+     horus_info conformance       - stacks vs their algebra-derived contracts
+     horus_info dir ...           - the rank directory over UDP
      horus_info node ...          - one member of a real UDP deployment
      horus_info ping ...          - transport-level reachability check
 
@@ -210,42 +219,10 @@ let metrics_cmd =
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the registry as JSON instead of a table.")
   in
-  let transport_arg =
-    Arg.(value & opt string "sim"
-         & info [ "transport" ]
-             ~doc:"Attachment to run over: 'sim' (the simulated network) or 'loopback' \
-                   (real transport path — frame codec, peer book, backend stats — \
-                   in-process; adds a transport.* section).")
-  in
-  let run spec n casts crash seed json transport =
+  let run spec n casts crash seed json =
     let open Horus in
     let world = World.create ~seed () in
-    let members =
-      match transport with
-      | "sim" -> spawn_group world ~spec ~n
-      | "loopback" ->
-        let hub = Transport.Loopback.hub (World.engine world) in
-        let link = Transport_link.create world in
-        let peers = Transport.Peers.create () in
-        for r = 0 to n - 1 do
-          Transport.Peers.add peers ~rank:r ~addr:(Printf.sprintf "mem:%d" r)
-        done;
-        let ep r =
-          Transport_link.endpoint link
-            ~backend:(Transport.Loopback.create ~addr:(Printf.sprintf "mem:%d" r) hub)
-            ~peers ~rank:r ~spec
-        in
-        let g = World.fresh_group_addr world in
-        let founder = Group.join (ep 0) g in
-        let rest =
-          List.init (n - 1) (fun i -> Group.join ~contact:(Group.addr founder) (ep (i + 1)) g)
-        in
-        World.run_for world ~duration:2.0;
-        founder :: rest
-      | other ->
-        Format.eprintf "metrics: unknown transport %S (sim|loopback)@." other;
-        exit 2
-    in
+    let members = spawn_group world ~spec ~n in
     let sender = List.hd members in
     for k = 0 to casts - 1 do
       World.after world ~delay:(0.01 *. float_of_int k) (fun () ->
@@ -264,8 +241,7 @@ let metrics_cmd =
   Cmd.v
     (Cmd.info "metrics"
        ~doc:"Run a group scenario and dump the world metrics registry (deterministic in the seed)")
-    Term.(const run $ spec_arg $ n_arg $ casts_arg $ crash_arg $ seed_arg $ json_arg
-          $ transport_arg)
+    Term.(const run $ spec_arg $ n_arg $ casts_arg $ crash_arg $ seed_arg $ json_arg)
 
 (* Replay a repro file (see lib/check): run the recorded scenario
    twice, check the two runs are byte-identical, report violations, and
@@ -356,13 +332,6 @@ let explore_cmd =
   let max_runs_arg =
     Arg.(value & opt int 200 & info [ "max-runs" ] ~doc:"Run budget.")
   in
-  let walks_arg =
-    Arg.(value & opt int 0 & info [ "walks" ] ~doc:"Random walks after the DFS.")
-  in
-  let horizon_arg =
-    Arg.(value & opt float 0.002
-         & info [ "horizon" ] ~doc:"Chooser window in seconds.")
-  in
   let width_arg =
     Arg.(value & opt int 3 & info [ "width" ] ~doc:"Max candidates per choice point.")
   in
@@ -375,8 +344,8 @@ let explore_cmd =
     Arg.(value & opt (some string) None
          & info [ "save" ] ~doc:"Directory to write a repro file into on failure.")
   in
-  let run spec n seed casts caster crash crash_at suspect links depth max_runs walks
-      horizon width from save =
+  let run spec n seed casts caster crash crash_at suspect links depth max_runs width
+      from save =
     let module C = Horus_check in
     let ops =
       List.concat
@@ -400,8 +369,7 @@ let explore_cmd =
         ~faults ~run_for:8.0 ~spec ~n ()
     in
     let config =
-      { C.Explore.depth; max_runs; random_walks = walks; horizon; width;
-        from_time = from; walk_seed = seed }
+      { C.Explore.default_config with depth; max_runs; width; from_time = from }
     in
     let out = C.Explore.explore ~config sc in
     Format.printf "runs %d, distinct outcomes %d%s@." out.C.Explore.stats.C.Explore.runs
@@ -423,8 +391,8 @@ let explore_cmd =
     (Cmd.info "explore"
        ~doc:"Systematically explore dispatch schedules of a live stack (exit 1 on violation)")
     Term.(const run $ spec_arg $ n_arg $ seed_arg $ casts_arg $ caster_arg $ crash_arg
-          $ crash_at_arg $ suspect_arg $ link_arg $ depth_arg $ max_runs_arg $ walks_arg
-          $ horizon_arg $ width_arg $ from_arg $ save_arg)
+          $ crash_at_arg $ suspect_arg $ link_arg $ depth_arg $ max_runs_arg $ width_arg
+          $ from_arg $ save_arg)
 
 (* The flags every campaign subcommand (soak, churn, conformance)
    shares; the double-run gate itself is Horus_check.Campaign.gate. *)
@@ -446,10 +414,10 @@ let shards_arg =
                  deterministic in (config, shards). 1 = the plain run.")
 
 (* An invariant-checked soak: a long chaos-transport run (lib/check's
-   Soak) sized by flags, with the chaos profile given either as knobs
-   or as a JSON file. Prints a summary, optionally writes the full
-   JSON report, saves a repro on violation, and exits nonzero if any
-   invariant broke — the CI chaos gate. *)
+   Soak) sized by flags, with the chaos profile given as a JSON file
+   (none: Chaos.default, no faults). Prints a summary, optionally
+   writes the full JSON report, saves a repro on violation, and exits
+   nonzero if any invariant broke — the CI chaos gate. *)
 let soak_cmd =
   let spec_arg =
     Arg.(value & opt string "TOTAL:MBRSHIP:FRAG:NAK:COM"
@@ -472,36 +440,11 @@ let soak_cmd =
          & info [ "duration" ]
              ~doc:"Cap on the traffic phase in virtual seconds (0 = budget only).")
   in
-  let check_arg =
-    Arg.(value & opt float 0.25
-         & info [ "check-every" ]
-             ~doc:"Online invariant-check slice in virtual seconds (0 = end only).")
-  in
-  let drop_arg =
-    Arg.(value & opt float 0.0 & info [ "drop" ] ~doc:"Chaos drop probability.")
-  in
-  let dup_arg =
-    Arg.(value & opt float 0.0
-         & info [ "duplicate" ] ~doc:"Chaos duplication probability.")
-  in
-  let reorder_arg =
-    Arg.(value & opt float 0.0 & info [ "reorder" ] ~doc:"Chaos reorder probability.")
-  in
-  let window_arg =
-    Arg.(value & opt int 4
-         & info [ "reorder-window" ] ~doc:"Sends that may overtake a parked datagram.")
-  in
-  let delay_arg =
-    Arg.(value & opt float 0.0 & info [ "delay" ] ~doc:"Chaos delay probability.")
-  in
-  let corrupt_arg =
-    Arg.(value & opt float 0.0
-         & info [ "corrupt" ] ~doc:"Chaos bit-corruption probability.")
-  in
   let profile_arg =
     Arg.(value & opt (some file) None
          & info [ "profile" ] ~docv:"FILE"
-             ~doc:"Chaos profile JSON file; overrides the individual knobs.")
+             ~doc:"Chaos profile JSON file; fields it omits keep their defaults \
+                   (default: no chaos).")
   in
   let save_arg =
     Arg.(value & opt (some string) None
@@ -520,8 +463,8 @@ let soak_cmd =
                    of distinct members join late, interleaved across the traffic \
                    span (requires 2*churn < n). Casts come from the stable core.")
   in
-  let run spec n seed casts period duration check drop dup reorder window delay corrupt
-      profile report save fastpath churn shards double =
+  let run spec n seed casts period duration profile report save fastpath churn shards
+      double =
     let module C = Horus_check in
     let module Ch = Horus.Transport.Chaos in
     let profile =
@@ -532,9 +475,7 @@ let soak_cmd =
          | Error e ->
            Format.eprintf "soak: cannot load profile %s: %s@." file e;
            exit 2)
-      | None ->
-        { Ch.default with
-          Ch.drop; duplicate = dup; reorder; reorder_window = window; delay; corrupt }
+      | None -> Ch.default
     in
     let config =
       { C.Soak.default_config with
@@ -546,7 +487,6 @@ let soak_cmd =
         c_casts = casts;
         c_cast_period = period;
         c_duration = duration;
-        c_check_every = check;
         c_churn = churn }
     in
     let summary (s : C.Soak.report C.Campaign.run) =
@@ -584,9 +524,8 @@ let soak_cmd =
        ~doc:"Run an invariant-checked chaos soak over the loopback transport \
              (exit 1 on violation)")
     Term.(const run $ spec_arg $ n_arg $ seed_arg $ casts_arg $ period_arg
-          $ duration_arg $ check_arg $ drop_arg $ dup_arg $ reorder_arg $ window_arg
-          $ delay_arg $ corrupt_arg $ profile_arg $ report_arg $ save_arg
-          $ fastpath_arg $ churn_arg $ shards_arg $ double_run_arg)
+          $ duration_arg $ profile_arg $ report_arg $ save_arg $ fastpath_arg
+          $ churn_arg $ shards_arg $ double_run_arg)
 
 (* The hierarchical churn soak: HIER sub-groups over multiplexed
    loopback sockets with a live directory service, mass join/leave
@@ -594,14 +533,6 @@ let soak_cmd =
    experiment, in virtual time. *)
 let churn_cmd =
   let module C = Horus_check in
-  let endpoints_arg =
-    Arg.(value & opt (some int) None
-         & info [ "endpoints" ] ~doc:"Total population across sub-groups.")
-  in
-  let subgroups_arg =
-    Arg.(value & opt (some int) None
-         & info [ "subgroups" ] ~doc:"Sub-group count (each gets a HIER stack).")
-  in
   let seed_arg =
     Arg.(value & opt (some int) None
          & info [ "seed" ] ~doc:"World seed; the run is a pure function of the \
@@ -610,32 +541,6 @@ let churn_cmd =
   let spec_arg =
     Arg.(value & opt (some string) None
          & info [ "stack" ] ~doc:"Sub-group stack below HIER, top first.")
-  in
-  let waves_arg =
-    Arg.(value & opt (some int) None
-         & info [ "waves" ] ~doc:"Leave+rejoin churn waves.")
-  in
-  let fraction_arg =
-    Arg.(value & opt (some float) None
-         & info [ "fraction" ]
-             ~doc:"Youngest fraction of each sub-group churned per wave.")
-  in
-  let casts_arg =
-    Arg.(value & opt (some int) None
-         & info [ "casts" ] ~doc:"Parent-group casts per wave.")
-  in
-  let lease_arg =
-    Arg.(value & opt (some float) None
-         & info [ "lease" ] ~doc:"Directory lease in virtual seconds.")
-  in
-  let bound_arg =
-    Arg.(value & opt (some float) None
-         & info [ "converge-bound" ]
-             ~doc:"View-convergence budget per churn phase, virtual seconds.")
-  in
-  let nak_arg =
-    Arg.(value & opt (some int) None
-         & info [ "nak-ceiling" ] ~doc:"Whole-run nak.retransmits budget.")
   in
   let ci_arg =
     Arg.(value & flag
@@ -650,28 +555,7 @@ let churn_cmd =
                    the directory primary is killed mid-wave, and re-bridging is \
                    held to a bound.")
   in
-  let kill_coords_arg =
-    Arg.(value & opt (some int) None
-         & info [ "kill-coordinators" ]
-             ~doc:"Sub-group coordinators killed per ungraceful wave.")
-  in
-  let rebridge_arg =
-    Arg.(value & opt (some float) None
-         & info [ "rebridge-bound" ]
-             ~doc:"Kill-to-re-bridged budget per beheaded sub-group, virtual \
-                   seconds.")
-  in
-  let replicas_arg =
-    Arg.(value & opt (some int) None
-         & info [ "replicas" ] ~doc:"Directory backups behind the primary.")
-  in
-  let kill_dir_arg =
-    Arg.(value & opt (some int) None
-         & info [ "kill-dir-wave" ]
-             ~doc:"Wave whose kills also take the directory primary (-1 never).")
-  in
-  let run endpoints subgroups seed spec waves fraction casts lease bound nak ci
-      ungraceful kill_coords rebridge replicas kill_dir double shards report =
+  let run seed spec ci ungraceful double shards report =
     let base =
       match (ungraceful, ci) with
       | false, false -> C.Churn.default_config
@@ -679,24 +563,10 @@ let churn_cmd =
       | true, false -> C.Churn.m5_config
       | true, true -> C.Churn.m5_ci_config
     in
-    let dfl v = function Some x -> x | None -> v in
     let config =
       { base with
-        C.Churn.h_endpoints = dfl base.C.Churn.h_endpoints endpoints;
-        h_subgroups = dfl base.C.Churn.h_subgroups subgroups;
-        h_seed = dfl base.C.Churn.h_seed seed;
-        h_spec = dfl base.C.Churn.h_spec spec;
-        h_waves = dfl base.C.Churn.h_waves waves;
-        h_wave_fraction = dfl base.C.Churn.h_wave_fraction fraction;
-        h_casts_per_wave = dfl base.C.Churn.h_casts_per_wave casts;
-        h_lease = dfl base.C.Churn.h_lease lease;
-        h_converge_bound = dfl base.C.Churn.h_converge_bound bound;
-        h_nak_ceiling = dfl base.C.Churn.h_nak_ceiling nak;
-        h_kill_coordinators =
-          dfl base.C.Churn.h_kill_coordinators kill_coords;
-        h_rebridge_bound = dfl base.C.Churn.h_rebridge_bound rebridge;
-        h_dir_replicas = dfl base.C.Churn.h_dir_replicas replicas;
-        h_kill_dir_wave = dfl base.C.Churn.h_kill_dir_wave kill_dir }
+        C.Churn.h_seed = Option.value seed ~default:base.C.Churn.h_seed;
+        h_spec = Option.value spec ~default:base.C.Churn.h_spec }
     in
     let summary (s : C.Churn.report C.Campaign.run) =
       if shards > 1 then
@@ -761,11 +631,8 @@ let churn_cmd =
     (Cmd.info "churn"
        ~doc:"Run the hierarchical churn soak: HIER sub-groups over multiplexed \
              sockets with a directory service (exit 1 on violation)")
-    Term.(const run $ endpoints_arg $ subgroups_arg $ seed_arg $ spec_arg
-          $ waves_arg $ fraction_arg $ casts_arg $ lease_arg $ bound_arg $ nak_arg
-          $ ci_arg $ ungraceful_arg $ kill_coords_arg $ rebridge_arg
-          $ replicas_arg $ kill_dir_arg $ double_run_arg $ shards_arg
-          $ report_arg)
+    Term.(const run $ seed_arg $ spec_arg $ ci_arg $ ungraceful_arg $ double_run_arg
+          $ shards_arg $ report_arg)
 
 (* The property-algebra conformance sweep: synthesize well-formed
    stacks, derive each one's contract, run them under a chaos matrix,
@@ -862,14 +729,6 @@ let conformance_cmd =
     Term.(const run $ stacks_arg $ seed_arg $ depth_arg $ profiles_arg $ report_arg
           $ save_arg $ quiet_arg)
 
-(* One member of a real multi-OS-process deployment over UDP: bind the
-   rank's address from the shared peer book, join the group (rank 0
-   founds it, the rest join via rank 0 as contact — MBRSHIP's merge
-   retries absorb staggered process startup), cast a paced stream, and
-   pump everything with the wall-clock driver until every member's
-   casts arrived or the budget runs out. Emits a JSON report (final
-   view, delivery sequence, local invariant verdicts, transport stats)
-   that scripts/udp_smoke.sh cross-checks across processes. *)
 (* Serve the rank directory over real UDP: the membership bootstrap
    for node/ping deployments that have no static peer book. *)
 let dir_cmd =
@@ -1047,6 +906,14 @@ let node_member ~world ~driver ~link ~backend ~peers ~source ~g ~rank ~spec ~cas
   in
   (out, formed && complete && violations = [])
 
+(* One member of a real multi-OS-process deployment over UDP: bind the
+   rank's address from the shared peer book, join the group (rank 0
+   founds it, the rest join via rank 0 as contact — MBRSHIP's merge
+   retries absorb staggered process startup), cast a paced stream, and
+   pump everything with the wall-clock driver until every member's
+   casts arrived or the budget runs out. Emits a JSON report (final
+   view, delivery sequence, local invariant verdicts, transport stats)
+   that scripts/udp_smoke.sh cross-checks across processes. *)
 let node_cmd =
   let rank_arg =
     Arg.(required & opt (some int) None
@@ -1254,8 +1121,8 @@ let node_cmd =
       match dir_ctx with
       | None -> None
       | Some (_, cl) ->
-        let stop =
-          D.Dir_client.auto_renew cl ~group:(Addr.group_id g) ~rank
+        let renewal =
+          D.Dir_client.keepalive cl ~group:(Addr.group_id g) ~rank
             ~addr:backend.Transport.Backend.local_addr ~lease:10.0
         in
         let assembled = ref None in
@@ -1270,9 +1137,9 @@ let node_cmd =
           (Transport.Driver.run_until ~timeout:(timeout /. 4.0) driver (fun () ->
                !assembled <> None));
         (match !assembled with
-         | Some es -> Some (D.Dir_client.peers_of es, stop)
+         | Some es -> Some (D.Dir_client.peers_of es, renewal)
          | None ->
-           stop ();
+           D.Dir_client.release renewal;
            None)
     in
     let peers, source =
@@ -1297,8 +1164,8 @@ let node_cmd =
     print_string (J.to_string ~indent:true out);
     (* Graceful directory departure: unregister and let the frame out. *)
     (match resolved with
-     | Some (_, stop) ->
-       stop ();
+     | Some (_, renewal) ->
+       D.Dir_client.release renewal;
        Transport.Driver.run_for driver ~duration:0.2
      | None -> ());
     (match dir_ctx with Some (db, _) -> db.Transport.Backend.close () | None -> ());

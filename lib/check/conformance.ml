@@ -104,21 +104,16 @@ let safe_extra_names =
 
 let registered (l : Layer_spec.t) = Horus_hcpi.Registry.mem l.Layer_spec.name
 
-(* splitmix64 — the generator carries its own PRNG so stack synthesis
-   is a pure function of the seed, independent of the stdlib's Random
-   implementation. *)
-type rng = { mutable rs : int64 }
+(* Stack synthesis draws from its own splitmix64 stream, so it is a
+   pure function of the seed. The stream starts one step past
+   [Prng.create seed]: the sweep fingerprints pin that offset. *)
+let rng_make seed =
+  let r = Horus_util.Prng.create seed in
+  ignore (Horus_util.Prng.next_int64 r);
+  r
 
-let rng_make seed = { rs = Int64.add 0x9e3779b97f4a7c15L (Int64.of_int seed) }
-
-let rng_next r =
-  r.rs <- Int64.add r.rs 0x9e3779b97f4a7c15L;
-  let z = r.rs in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let rng_below r n = Int64.to_int (Int64.unsigned_rem (rng_next r) (Int64.of_int n))
+let rng_below r n =
+  Int64.to_int (Int64.unsigned_rem (Horus_util.Prng.next_int64 r) (Int64.of_int n))
 let rng_chance r permille = rng_below r 1000 < permille
 
 (* Systematic half: enumerate every well-formed stack up to max_depth

@@ -5,12 +5,11 @@
    of the queue head, the adversary picks which one runs. This module
    enumerates that tree with a stateless depth-bounded DFS — each tree
    node is visited by re-running the whole (deterministic) scenario
-   with a choice prefix, defaulting to choice 0 past the prefix — and
-   then falls back to seeded random walks to sample schedules beyond
-   the bound. An outcome-fingerprint cache reports how many distinct
-   terminal behaviours the search actually saw (it is an honest
-   statistic, not a soundness claim: we fingerprint outcomes, not
-   intermediate states). *)
+   with a choice prefix, defaulting to choice 0 past the prefix. An
+   outcome-fingerprint cache reports how many distinct terminal
+   behaviours the search actually saw (it is an honest statistic, not
+   a soundness claim: we fingerprint outcomes, not intermediate
+   states). *)
 
 type config = {
   horizon : float;
@@ -18,8 +17,6 @@ type config = {
   from_time : float;    (* chooser active from traffic start + this *)
   depth : int;          (* DFS branches only in the first [depth] choice points *)
   max_runs : int;
-  random_walks : int;   (* seeded walks after (or instead of) the DFS *)
-  walk_seed : int;
 }
 
 let default_config =
@@ -27,9 +24,7 @@ let default_config =
     width = 3;
     from_time = 0.0;
     depth = 6;
-    max_runs = 200;
-    random_walks = 0;
-    walk_seed = 1 }
+    max_runs = 200 }
 
 type stats = {
   runs : int;
@@ -47,18 +42,17 @@ let rec rev_strip_zeros = function
   | 0 :: rest -> rev_strip_zeros rest
   | l -> l
 
-let with_sched (sc : Scenario.t) cfg ~choices ~walk =
+let with_sched (sc : Scenario.t) cfg ~choices =
   { sc with
     Scenario.sched =
       Some
         { Scenario.s_horizon = cfg.horizon;
           s_width = cfg.width;
           s_from = cfg.from_time;
-          s_choices = choices;
-          s_walk = walk } }
+          s_choices = choices } }
 
-(* Replace a walk (or a short prefix) by the decisions actually taken,
-   so the returned counterexample replays with no randomness left.
+(* Replace a short prefix by the decisions actually taken, so the
+   returned counterexample replays the whole schedule explicitly.
    Trailing zeros are dropped: past the prefix the chooser defaults to
    0 anyway, and timer clusters in the settle tail would otherwise pad
    the schedule with thousands of no-op decisions. *)
@@ -66,7 +60,7 @@ let concretize sc cfg (r : Runner.result) =
   let choices =
     List.rev (rev_strip_zeros (List.rev r.Runner.r_taken))
   in
-  with_sched sc cfg ~choices ~walk:None
+  with_sched sc cfg ~choices
 
 let explore ?(config = default_config) ?(fastpath = false)
     (sc : Scenario.t) =
@@ -97,8 +91,7 @@ let explore ?(config = default_config) ?(fastpath = false)
       if !runs >= cfg.max_runs then truncated := true
       else begin
         let r =
-          Runner.run ~fastpath
-            (with_sched sc cfg ~choices:prefix ~walk:None)
+          Runner.run ~fastpath (with_sched sc cfg ~choices:prefix)
         in
         note_run r;
         if !found = None then begin
@@ -116,22 +109,5 @@ let explore ?(config = default_config) ?(fastpath = false)
           frontier := !children @ !frontier
         end
       end
-  done;
-  (* Random walks past the bound: replayable (each walk is a seed),
-     and any hit is concretized into an explicit choice list. *)
-  let w = ref 0 in
-  while !found = None && !w < cfg.random_walks do
-    if !runs >= cfg.max_runs then begin
-      truncated := true;
-      w := cfg.random_walks
-    end
-    else begin
-      let r =
-        Runner.run ~fastpath
-          (with_sched sc cfg ~choices:[] ~walk:(Some (cfg.walk_seed + !w)))
-      in
-      note_run r;
-      incr w
-    end
   done;
   { found = !found; stats = { runs = !runs; distinct = !distinct; truncated = !truncated } }

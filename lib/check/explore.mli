@@ -2,10 +2,9 @@
 
     Enumerates the Engine chooser's choice tree for one scenario by
     stateless depth-bounded DFS (re-running the deterministic scenario
-    per prefix; choice 0 past the prefix), then seeded random walks
-    past the bound. Stops at the first invariant violation and returns
-    the failing scenario with its schedule made concrete, ready for
-    {!Shrink} and {!Repro}. *)
+    per prefix; choice 0 past the prefix). Stops at the first
+    invariant violation and returns the failing scenario with its
+    schedule made concrete, ready for {!Shrink} and {!Repro}. *)
 
 type config = {
   horizon : float;     (** chooser window, seconds *)
@@ -13,8 +12,6 @@ type config = {
   from_time : float;   (** chooser active from traffic start + this *)
   depth : int;         (** branch only in the first [depth] choice points *)
   max_runs : int;
-  random_walks : int;  (** seeded walks after the DFS *)
-  walk_seed : int;
 }
 
 val default_config : config

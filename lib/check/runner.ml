@@ -268,15 +268,14 @@ let run ?(fastpath = false) ?observe (sc : Scenario.t) =
                (List.map (List.map (fun m -> node m)) groups)
            | Scenario.Heal -> fabric.fb_heal ()))
     sc.Scenario.faults;
-  (* Dispatch schedule: replay the choice prefix, then default-0 (or a
-     seeded walk). Record every choice point's arity and decision so
-     explorer runs convert into concrete, replayable prefixes. *)
-  let arities = ref [] and taken = ref [] and remaining = ref [] and walk = ref None in
+  (* Dispatch schedule: replay the choice prefix, then default-0.
+     Record every choice point's arity and decision so explorer runs
+     convert into concrete, replayable prefixes. *)
+  let arities = ref [] and taken = ref [] and remaining = ref [] in
   (match sc.Scenario.sched with
    | None -> ()
    | Some s ->
      remaining := s.Scenario.s_choices;
-     walk := Option.map Horus_util.Prng.create s.Scenario.s_walk;
      Horus_sim.Engine.set_chooser ~horizon:s.Scenario.s_horizon ~width:s.Scenario.s_width
        ~from:(t0 +. s.Scenario.s_from) (World.engine world)
        (fun ~now:_ cands ->
@@ -286,10 +285,7 @@ let run ?(fastpath = false) ?observe (sc : Scenario.t) =
             | c :: rest ->
               remaining := rest;
               if c >= 0 && c < arity then c else 0
-            | [] ->
-              (match !walk with
-               | Some prng -> Horus_util.Prng.int prng arity
-               | None -> 0)
+            | [] -> 0
           in
           arities := arity :: !arities;
           taken := choice :: !taken;
@@ -388,8 +384,8 @@ let obs_json o =
                 ("members", J.List (List.map (fun m -> J.Int m) ms)) ] ) ]
 
 (* The behaviour the run exhibited, independent of how the schedule
-   was specified (choices vs walk): what every member observed, and
-   which invariants broke. This is what the explorer fingerprints. *)
+   was specified: what every member observed, and which invariants
+   broke. This is what the explorer fingerprints. *)
 let outcome_json r =
   let module J = Horus_obs.Json in
   J.Obj

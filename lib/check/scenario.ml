@@ -61,11 +61,9 @@ type sched = {
   s_width : int;
   s_from : float;
   s_choices : int list;
-  s_walk : int option;
 }
 
-let default_sched =
-  { s_horizon = 0.002; s_width = 4; s_from = 0.0; s_choices = []; s_walk = None }
+let default_sched = { s_horizon = 0.002; s_width = 4; s_from = 0.0; s_choices = [] }
 
 type t = {
   name : string;
@@ -168,8 +166,7 @@ let to_json t =
         [ ("horizon", Json.Float s.s_horizon);
           ("width", Json.Int s.s_width);
           ("from", Json.Float s.s_from);
-          ("choices", Json.List (List.map (fun c -> Json.Int c) s.s_choices));
-          ("walk", match s.s_walk with Some w -> Json.Int w | None -> Json.Null) ]
+          ("choices", Json.List (List.map (fun c -> Json.Int c) s.s_choices)) ]
   in
   let links =
     Json.List
@@ -350,12 +347,12 @@ let of_json j =
             collect (fun c -> Option.to_result ~none:"bad choice" (Json.to_int c)) cs
           | Some _ -> Error "choices must be a list"
         in
-        let s_walk =
-          match Json.member "walk" sj with
-          | Some (Json.Int w) -> Some w
-          | _ -> None
-        in
-        Ok (Some { s_horizon; s_width; s_from; s_choices; s_walk })
+        (* Repro files may carry ["walk": null] (the committed ones
+           do); a walk seed would ask for a random schedule, which the
+           runner does not draw. *)
+        (match Json.member "walk" sj with
+         | None | Some Json.Null -> Ok (Some { s_horizon; s_width; s_from; s_choices })
+         | Some _ -> Error "sched.walk (a random-walk seed) is not supported; give choices")
     in
     let* expect_violation =
       match Json.member "expect_violation" j with
@@ -383,17 +380,6 @@ let of_string s =
 
 let to_string t = Json.to_string ~indent:true (to_json t)
 
-let pp_fault fmt = function
-  | Crash m -> Format.fprintf fmt "crash %d" m
-  | Leave m -> Format.fprintf fmt "leave %d" m
-  | Join m -> Format.fprintf fmt "join %d" m
-  | Suspect (a, b) -> Format.fprintf fmt "suspect %d->%d" a b
-  | Partition groups ->
-    Format.fprintf fmt "partition %s"
-      (String.concat "|"
-         (List.map (fun g -> String.concat "," (List.map string_of_int g)) groups))
-  | Heal -> Format.fprintf fmt "heal"
-
 let pp fmt t =
   Format.fprintf fmt "%s: %s n=%d seed=%d ops=%d faults=%d%s%s" t.name t.spec t.n t.seed
     (List.length t.ops) (List.length t.faults)
@@ -403,5 +389,4 @@ let pp fmt t =
     (match t.sched with
      | Some s when s.s_choices <> [] ->
        Printf.sprintf " sched=[%s]" (String.concat ";" (List.map string_of_int s.s_choices))
-     | Some { s_walk = Some w; _ } -> Printf.sprintf " walk=%d" w
      | _ -> "")

@@ -52,7 +52,6 @@ type sched = {
   s_width : int;        (** max candidates per choice point *)
   s_from : float;       (** chooser active from traffic start + this *)
   s_choices : int list; (** decisions; exhausted tail defaults to 0 *)
-  s_walk : int option;  (** past [s_choices]: random walk from this seed *)
 }
 
 val default_sched : sched
@@ -106,4 +105,3 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 
 val pp : Format.formatter -> t -> unit
-val pp_fault : Format.formatter -> fault -> unit

@@ -19,7 +19,7 @@ type t = {
   world : World.t;
   mutable next_call : int;
   pending : (int, outcome -> unit) Hashtbl.t;
-  mutable handler : rank:int -> string -> string;
+  handler : rank:int -> string -> string;
   mutable calls_made : int;
   mutable calls_served : int;
 }
@@ -77,8 +77,6 @@ let attach ?(handler = default_handler) ?(on_up = fun (_ : Horus_hcpi.Event.up) 
          with Msg.Truncated _ -> on_up ev)
       | _ -> on_up ev);
   t
-
-let set_handler t handler = t.handler <- handler
 
 let call ?(timeout = 1.0) t ~server payload k =
   let id = t.next_call in

@@ -17,8 +17,6 @@ val attach :
     receives all non-RPC events so the application keeps its own
     event handling. *)
 
-val set_handler : t -> (rank:int -> string -> string) -> unit
-
 val call : ?timeout:float -> t -> server:Addr.endpoint -> string -> (outcome -> unit) -> unit
 (** Asynchronous call; the continuation fires with the reply or, after
     [timeout] (default 1 s), with [`Timeout]. *)

@@ -55,8 +55,6 @@ type t = {
   eid : int;
   replicas : replica array;
   mutable current : int;      (* sticky: the replica that last answered *)
-  timeout : float;
-  retries : int;
   pending : (int, pending) Hashtbl.t;
   mutable next_req : int;
   mutable on_notify :
@@ -64,7 +62,12 @@ type t = {
   stats : stats;
 }
 
-let create ?(timeout = 0.25) ?(retries = 3) ?(eid = 0) ?(backups = []) ~engine xmit =
+(* Seed of each replica's RTO estimator, seconds, and resends per
+   replica before failing over. *)
+let timeout = 0.25
+let retries = 3
+
+let create ?(eid = 0) ?(backups = []) ~engine xmit =
   let replica x =
     { r_xmit = x;
       r_rto = Rto.create ~init:timeout ~min_rto:(timeout /. 8.0)
@@ -74,8 +77,6 @@ let create ?(timeout = 0.25) ?(retries = 3) ?(eid = 0) ?(backups = []) ~engine x
     eid;
     replicas = Array.of_list (List.map replica (xmit :: backups));
     current = 0;
-    timeout;
-    retries;
     pending = Hashtbl.create 8;
     next_req = 1;
     on_notify = [];
@@ -95,7 +96,7 @@ let frame_of t ~req_id req =
 
 (* The whole-request send budget: a full per-replica retry budget
    against every replica once around the ring. *)
-let budget t = (t.retries + 1) * Array.length t.replicas
+let budget t = (retries + 1) * Array.length t.replicas
 
 let advance p n = p.p_replica <- (p.p_replica + 1) mod n; p.p_attempts <- 0
 
@@ -122,7 +123,7 @@ let rec fire t req_id p =
            if Hashtbl.mem t.pending req_id then
              if p.p_total >= budget t then fail t req_id p
              else begin
-               if p.p_attempts > t.retries then begin
+               if p.p_attempts > retries then begin
                  t.stats.c_failovers <- t.stats.c_failovers + 1;
                  advance p (Array.length t.replicas)
                end;
@@ -227,12 +228,6 @@ let list_group t ~group k =
       | Ok (P.Entries { version; entries; _ }) -> k (Ok (version, entries))
       | Ok r -> k (Error (err_of r)))
 
-let list_groups t k =
-  request t P.List_groups (function
-      | Error e -> k (Error e)
-      | Ok (P.Groups gids) -> k (Ok gids)
-      | Ok r -> k (Error (err_of r)))
-
 let subscribe t ~group k =
   request t (P.Subscribe group) (function
       | Error e -> k (Error e)
@@ -289,10 +284,6 @@ let release rn =
     abandon rn;
     unregister rn.rn_t ~group:rn.rn_group ~rank:rn.rn_rank (fun _ -> ())
   end
-
-let auto_renew t ~group ~rank ~addr ~lease =
-  let rn = keepalive t ~group ~rank ~addr ~lease in
-  fun () -> release rn
 
 let peers_of entries =
   let p = T.Peers.create () in

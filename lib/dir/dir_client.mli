@@ -16,16 +16,14 @@
 type t
 
 val create :
-  ?timeout:float ->
-  ?retries:int ->
   ?eid:int ->
   ?backups:(Bytes.t -> unit) list ->
   engine:Horus_sim.Engine.t ->
   (Bytes.t -> unit) ->
   t
-(** [create ~engine xmit]: [timeout] (default 0.25 s) seeds each
-    replica's RTO estimator, [retries] (default 3) resends per replica
-    before failing over (or giving up on the last), [eid] the src
+(** [create ~engine xmit]: each replica's RTO estimator starts at
+    0.25 s, and each replica gets 3 resends before the client fails
+    over (or gives up on the last). [eid] is the src
     endpoint id stamped on request frames, [backups] xmit thunks
     towards the backup replicas in promotion order. *)
 
@@ -69,8 +67,6 @@ val list_group :
   t -> group:int -> ((int * (int * string) list, string) result -> unit) -> unit
 (** On success: (directory version, rank-sorted bindings). *)
 
-val list_groups : t -> ((int list, string) result -> unit) -> unit
-
 val subscribe : t -> group:int -> ((int, string) result -> unit) -> unit
 
 val unsubscribe : t -> group:int -> ((unit, string) result -> unit) -> unit
@@ -90,10 +86,6 @@ val release : renewal -> unit
 val abandon : renewal -> unit
 (** Ungraceful stop: end the cadence but leave the binding to lapse by
     lease expiry — the crash path, where no goodbye is ever sent. *)
-
-val auto_renew :
-  t -> group:int -> rank:int -> addr:string -> lease:float -> (unit -> unit)
-(** {!keepalive} with the returned thunk performing {!release}. *)
 
 val peers_of : (int * string) list -> Horus_transport.Peers.t
 (** A static peer book from a directory listing — the bridge back

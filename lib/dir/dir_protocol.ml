@@ -406,29 +406,6 @@ let decode_reply payload =
       | Some r -> Ok (req_id, r)
       | None -> Result.Error (Printf.sprintf "unknown directory reply opcode %d" op))
 
-let pp_request fmt = function
-  | Register { group; rank; addr; lease } ->
-    Format.fprintf fmt "register g=%d r=%d addr=%s lease=%.3f" group rank addr lease
-  | Renew { group; rank; lease } ->
-    Format.fprintf fmt "renew g=%d r=%d lease=%.3f" group rank lease
-  | Unregister { group; rank } -> Format.fprintf fmt "unregister g=%d r=%d" group rank
-  | Lookup { group; rank } -> Format.fprintf fmt "lookup g=%d r=%d" group rank
-  | List_group g -> Format.fprintf fmt "list g=%d" g
-  | List_groups -> Format.fprintf fmt "list-groups"
-  | Subscribe g -> Format.fprintf fmt "subscribe g=%d" g
-  | Unsubscribe g -> Format.fprintf fmt "unsubscribe g=%d" g
-  | Repl_delta { epoch; seq; group; version; change } ->
-    Format.fprintf fmt "repl-delta e=%d s=%d g=%d v=%d %s" epoch seq group version
-      (match change with
-       | Ch_bind { rank; addr; _ } -> Printf.sprintf "bind r=%d %s" rank addr
-       | Ch_remove rank -> Printf.sprintf "remove r=%d" rank
-       | Ch_sub a -> Printf.sprintf "sub %s" a
-       | Ch_unsub a -> Printf.sprintf "unsub %s" a)
-  | Repl_heartbeat { epoch; seq } -> Format.fprintf fmt "repl-heartbeat e=%d s=%d" epoch seq
-  | Repl_sync { from_seq } -> Format.fprintf fmt "repl-sync from=%d" from_seq
-  | Repl_snapshot { epoch; seq; groups } ->
-    Format.fprintf fmt "repl-snapshot e=%d s=%d groups=%d" epoch seq (List.length groups)
-
 let pp_reply fmt = function
   | Registered { group; rank; version; expires } ->
     Format.fprintf fmt "registered g=%d r=%d v=%d exp=%.3f" group rank version expires

@@ -69,5 +69,4 @@ val decode_request : Bytes.t -> (int * request, string) result
 val encode_reply : req_id:int -> reply -> Bytes.t
 val decode_reply : Bytes.t -> (int * reply, string) result
 
-val pp_request : Format.formatter -> request -> unit
 val pp_reply : Format.formatter -> reply -> unit

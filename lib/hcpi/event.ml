@@ -99,15 +99,3 @@ let up_name = function
   | U_exit -> "EXIT"
   | U_destroy -> "DESTROY"
   | U_packet _ -> "PACKET"
-
-let all_down_names =
-  [ "join"; "cast"; "send"; "ack"; "stable"; "view"; "flush"; "flush_ok";
-    "merge"; "merge_granted"; "merge_denied"; "suspect"; "leave"; "dump" ]
-
-let all_up_names =
-  [ "VIEW"; "CAST"; "SEND"; "MERGE_REQUEST"; "MERGE_DENIED"; "FLUSH"; "FLUSH_OK";
-    "LEAVE"; "LOST_MESSAGE"; "STABLE"; "PROBLEM"; "SYSTEM_ERROR"; "EXIT"; "DESTROY" ]
-
-let pp_down fmt d = Format.pp_print_string fmt (down_name d)
-
-let pp_up fmt u = Format.pp_print_string fmt (up_name u)

@@ -62,7 +62,3 @@ type up =
 
 val down_name : down -> string
 val up_name : up -> string
-val all_down_names : string list
-val all_up_names : string list
-val pp_down : Format.formatter -> down -> unit
-val pp_up : Format.formatter -> up -> unit

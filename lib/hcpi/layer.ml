@@ -134,17 +134,14 @@ type instance = {
 
 type ctor = env -> instance
 
-(* Helper for simple filter layers: provide only the cases you care
-   about; everything else passes through untouched (this pass-through
-   is the mechanical form of property *inheritance*, Section 6). *)
-let passthrough ~name ?(inert = false) ?(dump = fun () -> []) ?(stop = fun () -> ())
-    ?(handle_down = fun env ev -> env.emit_down ev)
-    ?(handle_up = fun env ev -> env.emit_up ev) env =
+(* A layer that passes every event through untouched — the mechanical
+   form of property *inheritance* (Section 6). NOOP is built from it. *)
+let passthrough ~name ?(inert = false) env =
   { name;
-    handle_down = handle_down env;
-    handle_up = handle_up env;
-    dump;
-    stop;
+    handle_down = env.emit_down;
+    handle_up = env.emit_up;
+    dump = (fun () -> []);
+    stop = (fun () -> ());
     inert }
 
 (* Periodic timer helper: calls [f] every [period] seconds until the

@@ -96,15 +96,8 @@ type instance = {
 
 type ctor = env -> instance
 
-val passthrough :
-  name:string ->
-  ?inert:bool ->
-  ?dump:(unit -> string list) ->
-  ?stop:(unit -> unit) ->
-  ?handle_down:(env -> Event.down -> unit) ->
-  ?handle_up:(env -> Event.up -> unit) ->
-  env -> instance
-(** Build an instance whose unhandled events pass through — the
+val passthrough : name:string -> ?inert:bool -> env -> instance
+(** Build an instance that passes every event through — the
     mechanical form of property inheritance. *)
 
 val every : env -> period:float -> (unit -> unit) -> unit -> unit

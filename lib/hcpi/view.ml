@@ -64,10 +64,6 @@ let mem t e = rank_of t e <> None
 
 let equal_id a b = a.ltime = b.ltime && Addr.equal_endpoint a.coord b.coord
 
-let compare_id a b =
-  let c = Int.compare a.ltime b.ltime in
-  if c <> 0 then c else Addr.compare_endpoint a.coord b.coord
-
 (* Next view: survivors of [t] (in rank order) followed by joiners (in
    age order); coordinator is the oldest survivor — the message-free
    election of Section 5. *)

@@ -30,7 +30,6 @@ val nth : t -> int -> Addr.endpoint
 val rank_of : t -> Addr.endpoint -> int option
 val mem : t -> Addr.endpoint -> bool
 val equal_id : id -> id -> bool
-val compare_id : id -> id -> int
 
 val successor : t -> failed:Addr.endpoint list -> joiners:Addr.endpoint list -> t option
 (** Next view: survivors in rank order, then joiners in age order;

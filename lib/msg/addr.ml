@@ -24,8 +24,6 @@ let group_id g = g.gid
 
 let compare_endpoint a b = Int.compare a.eid b.eid
 
-let compare_group a b = Int.compare a.gid b.gid
-
 let equal_endpoint a b = a.eid = b.eid
 
 let equal_group a b = a.gid = b.gid

@@ -12,7 +12,6 @@ val group : int -> group
 val endpoint_id : endpoint -> int
 val group_id : group -> int
 val compare_endpoint : endpoint -> endpoint -> int
-val compare_group : group -> group -> int
 val equal_endpoint : endpoint -> endpoint -> bool
 val equal_group : group -> group -> bool
 val pp_endpoint : Format.formatter -> endpoint -> unit

@@ -30,8 +30,6 @@ let create ?(block = default_block) ?(limit = default_limit) () =
   if limit < 0 then invalid_arg "Pool.create: limit must be >= 0";
   { block; limit; free = []; free_count = 0; hits = 0; misses = 0; discards = 0 }
 
-let block_size t = t.block
-
 let acquire t =
   match t.free with
   | b :: rest ->

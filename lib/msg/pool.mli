@@ -14,10 +14,8 @@ val create : ?block:int -> ?limit:int -> unit -> t
     for the canonical stack's fused headers); [limit] caps the free
     list (default 32). *)
 
-val block_size : t -> int
-
 val acquire : t -> Bytes.t
-(** A block of [block_size] bytes: recycled when one is free (a hit),
+(** A block of the pool's [block] size: recycled when one is free (a hit),
     freshly allocated otherwise (a miss). Contents are undefined. *)
 
 val release : t -> Bytes.t -> unit

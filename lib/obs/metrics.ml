@@ -98,8 +98,6 @@ let set g v = g.value <- v
 
 let gauge_value g = g.value
 
-let gauge_name g = g.g_name
-
 (* --- histogram operations --- *)
 
 let observe h v =
@@ -117,10 +115,6 @@ let observations h = h.h_count
 let sum h = h.h_sum
 
 let bucket_counts h = Array.copy h.buckets
-
-let bucket_bounds h = Array.copy h.bounds
-
-let histogram_name h = h.h_name
 
 (* --- registry-wide operations --- *)
 

@@ -53,8 +53,6 @@ val set : gauge -> float -> unit
 
 val gauge_value : gauge -> float
 
-val gauge_name : gauge -> string
-
 (** {1 Histograms} *)
 
 val observe : histogram -> float -> unit
@@ -65,10 +63,6 @@ val sum : histogram -> float
 
 val bucket_counts : histogram -> int array
 (** Per-bucket counts; the final slot is the [+Inf] overflow bucket. *)
-
-val bucket_bounds : histogram -> float array
-
-val histogram_name : histogram -> string
 
 (** {1 Snapshots} *)
 

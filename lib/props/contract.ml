@@ -32,8 +32,6 @@ let runnable =
     Property.P6_total_order; Property.P9_virtually_synchronous;
     Property.P12_large_messages; Property.P15_consistent_views ]
 
-let is_runnable p = List.mem p runnable
-
 let slice props = List.filter (Property.Set.mem props) runnable
 
 (* --- blame assignment (Section 6 read backwards) --- *)

@@ -7,8 +7,6 @@ val runnable : Property.t list
 (** Properties with a dynamic counterpart in lib/check's invariant
     library (P3, P4, P5, P6, P9, P12, P15), in Table-4 order. *)
 
-val is_runnable : Property.t -> bool
-
 val slice : Property.Set.t -> Property.t list
 (** The runnable subset of a derived property set, in Table-4 order:
     the contract a conformance run must check for that stack. *)

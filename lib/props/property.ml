@@ -74,8 +74,6 @@ let description = function
 
 let pp fmt p = Format.fprintf fmt "P%d" (number p)
 
-let pp_long fmt p = Format.fprintf fmt "P%d (%s)" (number p) (description p)
-
 (* --- property sets, backed by bitsets (bit i-1 for Pi) --- *)
 
 module Set = struct

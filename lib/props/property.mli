@@ -26,7 +26,6 @@ val number : t -> int
 val of_number : int -> t
 val description : t -> string
 val pp : Format.formatter -> t -> unit
-val pp_long : Format.formatter -> t -> unit
 
 (** Property sets, backed by bitsets (cheap value semantics for the
     synthesis search). *)

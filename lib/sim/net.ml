@@ -32,7 +32,7 @@ type stats = {
 type t = {
   engine : Engine.t;
   prng : Horus_util.Prng.t;
-  mutable config : config;
+  config : config;
   handlers : (int, src:int -> Bytes.t -> unit) Hashtbl.t;
   crashed : (int, unit) Hashtbl.t;
   (* partition id per node; nodes communicate iff their ids are equal.
@@ -44,11 +44,6 @@ type t = {
   mutable tap : (src:int -> dst:int -> Bytes.t -> unit) option;
   (* per-link latency overrides, for targeted race scenarios *)
   link_latency : (int * int, float) Hashtbl.t;
-  (* schedule hook: lets an adversary (lib/check) override the latency
-     of individual packets — consulted before link_latency/config, and
-     before jitter is drawn, so a [Some _] answer keeps the PRNG
-     stream unperturbed for the packets it does not touch *)
-  mutable delay_fn : (src:int -> dst:int -> size:int -> float option) option;
 }
 
 let create ?(config = default_config) ?(seed = 1) engine =
@@ -58,12 +53,9 @@ let create ?(config = default_config) ?(seed = 1) engine =
     stats = { sent = 0; delivered = 0; dropped = 0; garbled = 0;
               duplicated = 0; oversize = 0; bytes_sent = 0 };
     tap = None;
-    link_latency = Hashtbl.create 4;
-    delay_fn = None }
+    link_latency = Hashtbl.create 4 }
 
 let set_tap t f = t.tap <- f
-
-let set_delay_fn t f = t.delay_fn <- f
 
 let set_link_latency t ~src ~dst latency =
   match latency with
@@ -73,8 +65,6 @@ let set_link_latency t ~src ~dst latency =
 let engine t = t.engine
 
 let config t = t.config
-
-let set_config t config = t.config <- config
 
 let stats t = t.stats
 
@@ -164,21 +154,13 @@ let send t ~src ~dst payload =
       else payload
     in
     let once () =
-      let override =
-        match t.delay_fn with
-        | Some f -> f ~src ~dst ~size:(Bytes.length payload)
-        | None -> None
+      let base =
+        match Hashtbl.find_opt t.link_latency (src, dst) with
+        | Some l -> l
+        | None -> c.latency
       in
       let delay =
-        match override with
-        | Some d -> d
-        | None ->
-          let base =
-            match Hashtbl.find_opt t.link_latency (src, dst) with
-            | Some l -> l
-            | None -> c.latency
-          in
-          if c.jitter > 0.0 then base +. Horus_util.Prng.float t.prng c.jitter else base
+        if c.jitter > 0.0 then base +. Horus_util.Prng.float t.prng c.jitter else base
       in
       ignore (Engine.schedule t.engine ~delay (fun () -> deliver t ~src ~dst payload))
     in

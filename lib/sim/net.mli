@@ -31,7 +31,6 @@ val create : ?config:config -> ?seed:int -> Engine.t -> t
 
 val engine : t -> Engine.t
 val config : t -> config
-val set_config : t -> config -> unit
 val stats : t -> stats
 
 val export_metrics : t -> Horus_obs.Metrics.t -> unit
@@ -67,11 +66,3 @@ val set_tap : t -> (src:int -> dst:int -> Bytes.t -> unit) option -> unit
 val set_link_latency : t -> src:int -> dst:int -> float option -> unit
 (** Override the one-way latency of a single directed link ([None]
     restores the default). For targeted race scenarios. *)
-
-val set_delay_fn :
-  t -> (src:int -> dst:int -> size:int -> float option) option -> unit
-(** Per-packet schedule hook for systematic testing (see [lib/check]):
-    called for every copy put on the wire; [Some d] overrides that
-    packet's one-way latency (bypassing link overrides and jitter —
-    the PRNG stream is left untouched for overridden packets), [None]
-    falls through to the normal path. *)

@@ -30,9 +30,9 @@ type rx_view = src:string -> buf:Bytes.t -> off:int -> len:int -> unit
 
 (* The batched extension point. Backends that can move many datagrams
    per syscall (Udp over recvmmsg/sendmmsg) publish one of these;
-   everyone else leaves it [None] and the [send_batch]/[recv_batch]/
-   [flush] helpers below degrade to the scalar path, so Loopback and
-   Chaos are untouched. A batched backend may *stage* sends until the
+   everyone else leaves it [None] and the [flush]/[set_rx_view]
+   helpers below degrade to the scalar path, so Loopback and Chaos are
+   untouched. A batched backend may *stage* sends until the
    next [flush] (drivers flush once per pump); its rx side may hand
    frames to an installed [rx_view] as (buffer, offset, length) views
    into a reusable ring instead of one fresh [Bytes.t] per datagram —
@@ -62,19 +62,6 @@ type t = {
 }
 
 let flush t = match t.batch with Some b -> b.bt_flush () | None -> ()
-
-(* Hand a run of datagrams to the backend and push them to the wire.
-   On a batched backend the sends stage and the trailing flush moves
-   them in O(n / batch_size) syscalls; on a scalar backend this is
-   exactly a [send] loop. *)
-let send_batch t items =
-  Array.iter (fun (dest, payload) -> t.send ~dest payload) items;
-  flush t
-
-(* Drain whatever is ready. [poll] already drains every pending
-   datagram (batched backends do so recvmmsg-sized chunks at a time);
-   the alias keeps the extension point symmetric. *)
-let recv_batch t = t.poll ()
 
 (* Opt in to zero-copy rx views. Returns false when the backend has no
    batched rx path — the caller must rely on its ordinary [set_rx]

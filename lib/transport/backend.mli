@@ -68,15 +68,6 @@ type t = {
 val flush : t -> unit
 (** Push out any staged sends; a no-op on scalar backends. *)
 
-val send_batch : t -> (string * Bytes.t) array -> unit
-(** Hand a run of [(dest, payload)] datagrams to the backend and flush:
-    O(n / batch size) syscalls on a batched backend, a plain [send]
-    loop otherwise. *)
-
-val recv_batch : t -> int
-(** Drain everything ready (batched backends move recvmmsg-sized
-    chunks per syscall); same contract as [poll]. *)
-
 val set_rx_view : t -> rx_view -> bool
 (** Opt in to zero-copy rx views. [false] means the backend has no
     batched rx path; in either case the ordinary [set_rx] callback

@@ -330,14 +330,7 @@ let profile_of_json j =
          partitions })
     partitions
 
-let profile_to_string p = Json.to_string ~indent:true (profile_to_json p)
-
 let profile_of_string s =
   match Json.of_string s with
   | Error e -> Error ("chaos profile parse error: " ^ e)
   | Ok j -> profile_of_json j
-
-let pp_profile fmt p =
-  Format.fprintf fmt "drop=%g dup=%g reorder=%g/%d delay=%g corrupt=%g partitions=%d"
-    p.drop p.duplicate p.reorder p.reorder_window p.delay p.corrupt
-    (List.length p.partitions)

@@ -92,7 +92,4 @@ val profile_to_json : profile -> Horus_obs.Json.t
 val profile_of_json : Horus_obs.Json.t -> (profile, string) result
 (** Lenient: missing fields take {!default}'s values. *)
 
-val profile_to_string : profile -> string
 val profile_of_string : string -> (profile, string) result
-
-val pp_profile : Format.formatter -> profile -> unit

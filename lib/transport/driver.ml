@@ -22,17 +22,16 @@
    process is idle when the network is. Backends without an fd
    (loopback) are covered by [max_tick], a cap on any single sleep.
 
-   A sharded deployment runs one driver per shard (see {!Shard}): the
-   [aux] hook is pumped alongside the sockets and is where a shard
-   drains its inter-shard mailboxes. Mailbox posts cannot wake a
-   driver sleeping in poll(2), so sharded drivers run with a small
-   [max_tick]. *)
+   A sharded deployment runs one driver per shard (see {!Shard}) over
+   the shard's [Shard.bypass] backend, whose [poll] drains the
+   inter-shard mailboxes along with the socket. Mailbox posts cannot
+   wake a driver sleeping in poll(2), so sharded drivers run with a
+   small [max_tick]. *)
 
 type t = {
   engine : Horus_sim.Engine.t;
   backends : Backend.t list;
   fds : Unix.file_descr array;
-  aux : (unit -> int) option;
   shards : int;
   t0_wall : float;
   t0_engine : float;
@@ -52,7 +51,7 @@ let sleep_for ?max_wait ~max_tick ~min_sleep ~until_timer () =
   match max_wait with Some m -> Float.min w (Float.max 0.0 m) | None -> w
 
 let create ?(max_tick = Defaults.max_tick) ?(min_sleep = Defaults.min_sleep)
-    ?(shards = 1) ?aux engine backends =
+    ?(shards = 1) engine backends =
   if max_tick <= 0.0 then invalid_arg "Driver.create: max_tick must be positive";
   if min_sleep < 0.0 || min_sleep > max_tick then
     invalid_arg "Driver.create: min_sleep must be within [0, max_tick]";
@@ -62,7 +61,6 @@ let create ?(max_tick = Defaults.max_tick) ?(min_sleep = Defaults.min_sleep)
     fds =
       Array.of_list
         (List.filter_map (fun (b : Backend.t) -> b.Backend.fd) backends);
-    aux;
     shards;
     t0_wall = Unix.gettimeofday ();
     t0_engine = Horus_sim.Engine.now engine;
@@ -77,7 +75,6 @@ let target t = t.t0_engine +. (Unix.gettimeofday () -. t.t0_wall)
 let now = target
 
 let pump t =
-  let injected = match t.aux with Some f -> f () | None -> 0 in
   let received =
     List.fold_left (fun n (b : Backend.t) -> n + b.Backend.poll ()) 0 t.backends
   in
@@ -88,7 +85,7 @@ let pump t =
   (* Everything this pump staged — replies to received frames, timer
      retransmits — goes to the wire in one batch per backend. *)
   List.iter Backend.flush t.backends;
-  injected + received + (Horus_sim.Engine.executed t.engine - before)
+  received + (Horus_sim.Engine.executed t.engine - before)
 
 (* Idle wait: poll(2) when the stub works (no FD_SETSIZE ceiling —
    a process can host thousands of sockets), select otherwise. *)

@@ -12,7 +12,7 @@
 type t
 
 val create :
-  ?max_tick:float -> ?min_sleep:float -> ?shards:int -> ?aux:(unit -> int) ->
+  ?max_tick:float -> ?min_sleep:float -> ?shards:int ->
   Horus_sim.Engine.t -> Backend.t list -> t
 (** [max_tick] (default {!Defaults.max_tick}) caps any single sleep,
     bounding the poll latency of fd-less backends such as loopback.
@@ -22,12 +22,11 @@ val create :
     a 0-timeout busy spin.
 
     [shards] (default 1) records which of how many shards this driver
-    serves — informational, surfaced by {!shards} for reports.
-    [aux] is pumped before the sockets on every {!pump}: a sharded
-    driver drains its inter-shard mailboxes here, returning the number
-    of messages moved (counted as work, like received datagrams).
-    Mailbox posts cannot wake a driver sleeping in poll(2), so sharded
-    drivers should run with a small [max_tick]. *)
+    serves — informational, surfaced by {!shards} for reports. A
+    sharded driver's backend is its {!Shard.bypass}, whose [poll]
+    drains the inter-shard mailboxes. Mailbox posts cannot wake a
+    driver sleeping in poll(2), so sharded drivers should run with a
+    small [max_tick]. *)
 
 val shards : t -> int
 (** The [shards] value given at creation (1 = unsharded). *)
@@ -43,8 +42,8 @@ val now : t -> float
 (** Engine time corresponding to the current wall-clock instant. *)
 
 val pump : t -> int
-(** Drain the [aux] hook and every backend, run all engine events now
-    due, then flush each backend; returns messages moved plus events
+(** Drain every backend, run all engine events now due, then flush
+    each backend; returns messages moved plus events
     fired (0 = idle). *)
 
 val step : ?max_wait:float -> t -> int

@@ -66,7 +66,7 @@ let ipv4_int a =
    live peer set re-populates it within one round of traffic. *)
 let cache_limit = 512
 
-let create ?(mtu = max_datagram) ?(batch = 0) ~bind () =
+let create ?(batch = 0) ~bind () =
   if batch < 0 then invalid_arg "Udp.create: batch must be >= 0";
   let batch = min batch 256 (* the stubs' HORUS_MAX_BATCH *) in
   let sockaddr =
@@ -315,7 +315,7 @@ let create ?(mtu = max_datagram) ?(batch = 0) ~bind () =
   in
   { Backend.kind = "udp";
     local_addr;
-    mtu;
+    mtu = max_datagram;
     send;
     set_rx = (fun f -> rx := Some f);
     fd = Some fd;

@@ -9,7 +9,7 @@ val parse_addr : string -> (Unix.sockaddr, string) result
 val max_datagram : int
 (** Practical ceiling for a UDP payload over IPv4 (65507 bytes). *)
 
-val create : ?mtu:int -> ?batch:int -> bind:string -> unit -> Backend.t
+val create : ?batch:int -> bind:string -> unit -> Backend.t
 (** [create ~bind ()] binds a non-blocking datagram socket on [bind]
     (["host:port"]; port [0] picks an ephemeral port, reflected in the
     returned [local_addr]). Raises [Invalid_argument] on a malformed

@@ -120,6 +120,28 @@ let test_scenario_rejects_bad_member () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "out-of-range member index accepted"
 
+(* A schedule is its explicit choices: ["walk": null] loads (the
+   committed repros carry it), a walk seed is refused. *)
+let test_scenario_walk_field () =
+  let module J = Horus_obs.Json in
+  let with_walk w =
+    match Scenario.to_json (full_scenario ()) with
+    | J.Obj fields ->
+      J.Obj
+        (List.map
+           (function
+             | "sched", J.Obj s -> ("sched", J.Obj (("walk", w) :: s))
+             | kv -> kv)
+           fields)
+    | _ -> assert false
+  in
+  (match Scenario.of_json (with_walk J.Null) with
+   | Ok sc -> Alcotest.(check bool) "walk null ignored" true (sc = full_scenario ())
+   | Error e -> Alcotest.fail ("walk null rejected: " ^ e));
+  match Scenario.of_json (with_walk (J.Int 7)) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "walk seed accepted"
+
 (* --- the Figure 2 flush race, live --- *)
 
 (* D (member 3) casts M and crashes; the copies toward A and B are in
@@ -145,9 +167,7 @@ let fig2_config =
     width = 5;
     from_time = 0.0199;
     depth = 8;
-    max_runs = 300;
-    random_walks = 0;
-    walk_seed = 1 }
+    max_runs = 300 }
 
 let test_explorer_finds_flush_race () =
   let out = Explore.explore ~config:fig2_config (fig2 ~rule_on:false ()) in
@@ -189,8 +209,7 @@ let test_figure2_regression () =
     { Scenario.s_horizon = 0.002;
       s_width = 5;
       s_from = 0.0199;
-      s_choices = fig2_choices;
-      s_walk = None }
+      s_choices = fig2_choices }
   in
   let bad = Runner.run (fig2 ~rule_on:false ~sched ()) in
   Alcotest.(check bool) "rule off: straggler splits the cut" true (Runner.failed bad);
@@ -368,6 +387,7 @@ let () =
           Alcotest.test_case "completeness detected" `Quick test_invariant_completeness ] );
       ( "scenario",
         [ Alcotest.test_case "json round trip" `Quick test_scenario_roundtrip;
+          Alcotest.test_case "walk seed rejected" `Quick test_scenario_walk_field;
           Alcotest.test_case "bad member index rejected" `Quick
             test_scenario_rejects_bad_member ] );
       ( "explorer",

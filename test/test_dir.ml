@@ -399,9 +399,119 @@ let backup_redirects_to_primary () =
   Alcotest.(check int) "redirect counted service-side" 1
     (D.Dir_service.stats dirs.(1)).D.Dir_service.s_redirects
 
+(* --- the wire protocol --------------------------------------------- *)
+
+module P = D.Dir_protocol
+
+(* One of every request and reply constructor (every [change] kind
+   too). Times are whole microseconds, so the i64 wire encoding is
+   exact and structural equality holds after a round trip. *)
+let sample_requests =
+  [ P.Register { group = 3; rank = 1; addr = "127.0.0.1:7001"; lease = 10.0 };
+    P.Renew { group = 3; rank = 1; lease = 2.5 };
+    P.Unregister { group = 3; rank = 1 };
+    P.Lookup { group = 3; rank = 2 };
+    P.List_group 3;
+    P.List_groups;
+    P.Subscribe 3;
+    P.Unsubscribe 3;
+    P.Repl_delta
+      { epoch = 2; seq = 7; group = 3; version = 4;
+        change = P.Ch_bind { rank = 1; addr = "cl:1"; remaining = 0.25 } };
+    P.Repl_delta { epoch = 2; seq = 8; group = 3; version = 5; change = P.Ch_remove 1 };
+    P.Repl_delta { epoch = 2; seq = 9; group = 3; version = 6; change = P.Ch_sub "cl:2" };
+    P.Repl_delta
+      { epoch = 2; seq = 10; group = 3; version = 7; change = P.Ch_unsub "cl:2" };
+    P.Repl_heartbeat { epoch = 2; seq = 10 };
+    P.Repl_sync { from_seq = 4 };
+    P.Repl_snapshot
+      { epoch = 2; seq = 10;
+        groups =
+          [ { P.sg_group = 3; sg_version = 7;
+              sg_entries = [ (0, "cl:0", 1.5); (2, "cl:2", 0.000001) ];
+              sg_subs = [ "cl:0"; "cl:2" ] };
+            { P.sg_group = 4; sg_version = 1; sg_entries = []; sg_subs = [] } ] } ]
+
+let sample_replies =
+  [ P.Registered { group = 3; rank = 1; version = 2; expires = 12.125 };
+    P.Found { group = 3; rank = 2; addr = "127.0.0.1:7002" };
+    P.Entries { group = 3; version = 2; entries = [ (0, "a"); (1, "b") ] };
+    P.Groups [ 3; 4; 0xD1C7 ];
+    P.Subscribed { group = 3; version = 2 };
+    P.Done;
+    P.Notify { group = 3; version = 3; rank = 1; addr = Some "cl:1" };
+    P.Notify { group = 3; version = 4; rank = 1; addr = None };
+    P.Error { code = P.Unknown_group; detail = "g" };
+    P.Error { code = P.Unknown_rank; detail = "r" };
+    P.Error { code = P.Bad_request; detail = "" };
+    P.Error { code = P.Not_primary; detail = "dir:1" } ]
+
+let protocol_round_trip () =
+  List.iteri
+    (fun i req ->
+       match P.decode_request (P.encode_request ~req_id:(i + 1) req) with
+       | Ok (id, req') ->
+         Alcotest.(check int) "request id" (i + 1) id;
+         Alcotest.(check bool) (Printf.sprintf "request %d round-trips" i) true (req = req')
+       | Error e -> Alcotest.failf "request %d does not decode: %s" i e)
+    sample_requests;
+  List.iteri
+    (fun i rep ->
+       match P.decode_reply (P.encode_reply ~req_id:(i + 1) rep) with
+       | Ok (id, rep') ->
+         Alcotest.(check int) "reply id" (i + 1) id;
+         Alcotest.(check bool) (Printf.sprintf "reply %d round-trips" i) true (rep = rep')
+       | Error e -> Alcotest.failf "reply %d does not decode: %s" i e)
+    sample_replies
+
+(* Hostile bytes: truncate, flip one bit, or extend every sample
+   encoding, many times over from a fixed seed, and feed the result to
+   both decoders (a reply decoder sees requests and vice versa). A
+   decoder may return [Error] or any value; it must never raise. *)
+let protocol_mutation_fuzz () =
+  let prng = Horus_util.Prng.create 15 in
+  let mutate b =
+    let n = Bytes.length b in
+    match Horus_util.Prng.int prng 3 with
+    | 0 -> Bytes.sub b 0 (Horus_util.Prng.int prng (n + 1))
+    | 1 ->
+      let b = Bytes.copy b in
+      let i = Horus_util.Prng.int prng n in
+      let bit = 1 lsl Horus_util.Prng.int prng 8 in
+      Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor bit);
+      b
+    | _ -> Bytes.cat b (Horus_util.Prng.bytes prng (1 + Horus_util.Prng.int prng 16))
+  in
+  let encodings =
+    List.map (P.encode_request ~req_id:9) sample_requests
+    @ List.map (P.encode_reply ~req_id:9) sample_replies
+  in
+  let decoded = ref 0 in
+  List.iter
+    (fun enc ->
+       for _ = 1 to 300 do
+         let b = mutate enc in
+         (match P.decode_request b with
+          | Ok _ -> incr decoded
+          | Error _ -> ()
+          | exception e ->
+            Alcotest.failf "decode_request raised %s" (Printexc.to_string e));
+         match P.decode_reply b with
+         | Ok _ -> incr decoded
+         | Error _ -> ()
+         | exception e -> Alcotest.failf "decode_reply raised %s" (Printexc.to_string e)
+       done)
+    encodings;
+  (* Extensions and payload bit flips still decode: the fuzz reached
+     past the envelope checks. *)
+  Alcotest.(check bool) "some mutants decode" true (!decoded > 0)
+
 let () =
   Alcotest.run "dir"
-    [ ( "service",
+    [ ( "protocol",
+        [ Alcotest.test_case "every constructor round-trips" `Quick protocol_round_trip;
+          Alcotest.test_case "mutated bytes never raise" `Quick protocol_mutation_fuzz ] );
+      ( "service",
         [ Alcotest.test_case "lease expiry evicts" `Quick lease_expiry_evicts;
           Alcotest.test_case "re-registration after expiry" `Quick re_registration;
           Alcotest.test_case "unknown rank/group are clean errors" `Quick

@@ -57,9 +57,7 @@ let test_explorer_equivalence () =
         width = 5;
         from_time = 0.0199;
         depth = 8;
-        max_runs = 120;
-        random_walks = 0;
-        walk_seed = 1 }
+        max_runs = 120 }
     in
     let slow = Explore.explore ~config sc in
     let fast = Explore.explore ~config ~fastpath:true sc in

@@ -258,20 +258,6 @@ let driver_hosts_1200_backends () =
     Alcotest.(check string) "payload" "wide" payload
   | None -> assert false
 
-(* --- the driver's aux hook ----------------------------------------- *)
-
-(* The aux hook (where a sharded driver drains its mailboxes) is
-   pumped before the sockets and its injected count reaches the
-   caller. *)
-let driver_aux_is_pumped () =
-  let engine = Horus_sim.Engine.create () in
-  let injected = ref 0 in
-  let aux () = if !injected < 3 then (incr injected; 1) else 0 in
-  let driver = T.Driver.create ~max_tick:0.002 ~aux engine [] in
-  Alcotest.(check bool) "aux drained" true
-    (T.Driver.run_until ~timeout:2.0 driver (fun () -> !injected = 3));
-  Alcotest.(check int) "exactly the injected work" 3 !injected
-
 let () =
   Alcotest.run "shard"
     [ ( "placement",
@@ -292,5 +278,4 @@ let () =
           Alcotest.test_case "churn 2-cell fold pinned" `Slow churn_fold_pinned;
           Alcotest.test_case "double-run gate compares keys" `Quick gate_compares_keys ] );
       ( "driver",
-        [ Alcotest.test_case "1200 backends on one driver" `Quick driver_hosts_1200_backends;
-          Alcotest.test_case "aux hook pumped" `Quick driver_aux_is_pumped ] ) ]
+        [ Alcotest.test_case "1200 backends on one driver" `Quick driver_hosts_1200_backends ] ) ]

@@ -17,8 +17,9 @@ open Horus_msg
 type attachment = {
   a_kind : string;  (* "sim", "udp", "loopback" — for diagnostics *)
   a_mtu : int;
-  a_xmit : gid:int -> dsts:Addr.endpoint list -> Bytes.t -> unit;
-      (* one datagram to each of [dsts], framed once *)
+  a_xmit : gid:int -> dsts:Addr.endpoint list -> Msg.t -> unit;
+      (* one datagram to each of [dsts], framed once from the message's
+         live bytes before returning *)
   a_crash : unit -> unit;
 }
 
@@ -35,11 +36,13 @@ type t = {
          a shared-socket link can maintain its gid demux table *)
 }
 
-let frame_gid gid payload =
-  let n = Bytes.length payload in
+(* The simulated net's frame: the group id, then the message's live
+   bytes, copied once out of its buffer. *)
+let frame_gid gid m =
+  let buf, off, n = Msg.view m in
   let b = Bytes.create (4 + n) in
   Bytes.set_int32_be b 0 (Int32.of_int gid);
-  Bytes.blit payload 0 b 4 n;
+  Bytes.blit buf off b 4 n;
   b
 
 (* Incoming packets from whatever attachment — route on group id.
@@ -69,10 +72,10 @@ let sim_attachment t =
   { a_kind = "sim";
     a_mtu = (Horus_sim.Net.config net).Horus_sim.Net.mtu;
     a_xmit =
-      (fun ~gid ~dsts payload ->
+      (fun ~gid ~dsts m ->
          (* The net never mutates a datagram (garbling works on a
             copy), so every destination shares one framed buffer. *)
-         let frame = frame_gid gid payload in
+         let frame = frame_gid gid m in
          List.iter
            (fun dst -> Horus_sim.Net.send net ~src:node ~dst:(Addr.endpoint_id dst) frame)
            dsts);
@@ -135,7 +138,7 @@ let add_crash_hook t f = t.on_crash <- f :: t.on_crash
 (* The per-group transport handed to the stack's bottom layer: frames
    outgoing packets with the group id. *)
 let transport t ~gid : Horus_hcpi.Layer.transport =
-  { Horus_hcpi.Layer.xmit = (fun ~dsts payload -> t.attachment.a_xmit ~gid ~dsts payload);
+  { Horus_hcpi.Layer.xmit = (fun ~dsts m -> t.attachment.a_xmit ~gid ~dsts m);
     local_node = node t;
     mtu = t.attachment.a_mtu }
 

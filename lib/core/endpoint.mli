@@ -14,13 +14,14 @@ type t
 type attachment = {
   a_kind : string;  (** ["sim"], ["udp"], ["loopback"] — diagnostics *)
   a_mtu : int;
-  a_xmit : gid:int -> dsts:Addr.endpoint list -> Bytes.t -> unit;
+  a_xmit : gid:int -> dsts:Addr.endpoint list -> Msg.t -> unit;
   a_crash : unit -> unit;
 }
 (** How packets leave the endpoint and what happens when it crashes.
-    [a_xmit] sends one datagram to each of [dsts] and may share one
-    framed buffer among them; the payload is never mutated. Incoming
-    packets come back through {!deliver}. *)
+    [a_xmit] sends the message's live bytes as one datagram to each of
+    [dsts]: it frames them into one buffer of its own, shared among
+    the destinations, before it returns, and never modifies the
+    message. Incoming packets come back through {!deliver}. *)
 
 val create : ?addr:Addr.endpoint -> ?attach:(t -> attachment) -> World.t -> spec:string -> t
 (** [create world ~spec] allocates an address, attaches to the world's

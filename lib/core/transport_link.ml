@@ -145,11 +145,14 @@ let attach_mux _t mux endpoint : Endpoint.attachment =
   { Endpoint.a_kind = backend.T.Backend.kind;
     a_mtu = backend.T.Backend.mtu - T.Frame.overhead;
     a_xmit =
-      (fun ~gid ~dsts payload ->
-         (* Backends treat sent bytes as immutable, so one frame serves
-            every destination. *)
+      (fun ~gid ~dsts m ->
+         (* Backends treat sent bytes as immutable, so one frame, copied
+            once out of the message's buffer, serves every
+            destination. *)
+         let buf, off, len = Msg.view m in
          let frame =
-           T.Frame.encode ~src:(Endpoint.addr endpoint) ~group:(Addr.group gid) payload
+           T.Frame.encode_sub ~src:(Endpoint.addr endpoint) ~group:(Addr.group gid) buf ~off
+             ~len
          in
          List.iter
            (fun dst ->

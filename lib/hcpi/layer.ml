@@ -12,11 +12,13 @@
 open Horus_msg
 
 (* Best-effort datagram transport under the stack ("ATM" in the
-   paper's example). Only bottom adapter layers use it. One call hands
-   one datagram to every destination, so the transport frames it once;
-   the bytes are the transport's from then on and are never mutated. *)
+   paper's example). Only bottom adapter layers use it. One call sends
+   the message's live bytes as one datagram to every destination: the
+   transport frames them once, straight out of the message's buffer,
+   into a buffer of its own before it returns. The message stays the
+   caller's, unread after the call and never modified. *)
 type transport = {
-  xmit : dsts:Addr.endpoint list -> Bytes.t -> unit;
+  xmit : dsts:Addr.endpoint list -> Msg.t -> unit;
   local_node : int;
   mtu : int;
 }

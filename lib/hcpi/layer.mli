@@ -7,15 +7,16 @@
 open Horus_msg
 
 type transport = {
-  xmit : dsts:Addr.endpoint list -> Bytes.t -> unit;
+  xmit : dsts:Addr.endpoint list -> Msg.t -> unit;
   local_node : int;
   mtu : int;
 }
 (** Best-effort datagram transport under the stack; used only by
-    bottom adapter layers such as COM. [xmit ~dsts payload] sends one
-    datagram to each of [dsts]: the transport frames it once and may
-    share the framed bytes across destinations, so the caller hands
-    [payload] over and must not mutate it afterwards. *)
+    bottom adapter layers such as COM. [xmit ~dsts m] sends the live
+    bytes of [m] as one datagram to each of [dsts]. The transport
+    copies them once, into the frame it shares across destinations,
+    before it returns; [m] stays the caller's and is not modified, so
+    the caller may go on popping or pushing it. *)
 
 type rendezvous = {
   announce : Addr.group -> Addr.endpoint -> unit;

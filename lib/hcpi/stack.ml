@@ -105,11 +105,8 @@ let drain t =
     t.running <- true;
     let finish () = t.running <- false in
     try
-      let continue = ref true in
-      while !continue do
-        match Horus_util.Fifo.pop t.queue with
-        | None -> continue := false
-        | Some item -> process t item
+      while not (Horus_util.Fifo.is_empty t.queue) do
+        process t (Horus_util.Fifo.pop t.queue)
       done;
       finish ()
     with e ->
@@ -331,7 +328,7 @@ let create ~engine ~endpoint ~group ~prng ~transport ~rendezvous
   let t =
     { layers = [||];
       names;
-      queue = Horus_util.Fifo.create ();
+      queue = Horus_util.Fifo.create ~dummy:(Thunk ignore);
       running = false;
       destroyed = false;
       processed = 0;

@@ -23,8 +23,6 @@ let charge ledger bytes =
   ledger.l_msgs <- ledger.l_msgs + 1;
   ledger.l_bytes <- ledger.l_bytes + bytes
 
-let src_of meta = Option.value (Event.meta_find meta Com.src_meta) ~default:(-1)
-
 let create (_ : Params.t) env =
   let t = { env; sent = { l_msgs = 0; l_bytes = 0 }; received = Hashtbl.create 8 } in
   let ledger_for src =
@@ -44,7 +42,7 @@ let create (_ : Params.t) env =
   let handle_up (ev : Event.up) =
     (match ev with
      | Event.U_cast (_, m, meta) | Event.U_send (_, m, meta) ->
-       charge (ledger_for (src_of meta)) (Msg.length m)
+       charge (ledger_for (Com.src_of meta)) (Msg.length m)
      | _ -> ());
     env.Layer.emit_up ev
   in

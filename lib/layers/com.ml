@@ -2,9 +2,11 @@
 
    COM translates the raw best-effort network (property P1) into the
    Common Protocol Interface. Going down, it stamps each message with a
-   small envelope — magic, length, kind, source endpoint — serialises
-   it once, and hands that one datagram to the transport for every
-   destination. Coming up, it verifies the envelope
+   small envelope — magic, length, kind, source endpoint — and hands
+   the message to the transport, which frames its live bytes once, as
+   one datagram for every destination. The sender's own copy is the
+   message itself: once the transport returns, COM strips the envelope
+   again and delivers it locally. Coming up, it verifies the envelope
    (P10: gross corruption, truncation and byte reordering are caught by
    the magic/length check), recovers the source address (P11), filters
    casts from endpoints outside the current destination set, and
@@ -13,7 +15,9 @@
    The destination set is a plain list installed with the view
    downcall; COM attaches no consistency semantics to it (Section 7:
    "a view at these layers is nothing but the set of destination
-   endpoints for multicast messages"). *)
+   endpoints for multicast messages"). The per-destination delivery
+   metas are immutable, so they are built with the destination set and
+   shared by every packet. *)
 
 open Horus_msg
 open Horus_hcpi
@@ -24,14 +28,15 @@ type kind = Cast | Send
 
 let kind_code = function Cast -> 0 | Send -> 1
 
-let kind_of_code = function 0 -> Some Cast | 1 -> Some Send | _ -> None
-
 type state = {
   env : Layer.env;
   filter : bool;          (* drop casts from non-members *)
   loopback : bool;        (* deliver own casts locally, without the net *)
   mutable dests : Addr.endpoint array;  (* current destination set *)
   mutable peers : Addr.endpoint list;   (* [dests] without ourselves *)
+  mutable self_rank : int;              (* our index in [dests], or -1 *)
+  mutable metas : Event.meta array;     (* per dest: its delivery meta *)
+  self_meta : Event.meta;
   mutable sent : int;
   mutable received : int;
   mutable rejected : int; (* bad envelope *)
@@ -42,64 +47,76 @@ type state = {
    above use it when the source is outside the view (rank -1). *)
 let src_meta = "src_eid"
 
+let meta_of eid : Event.meta = [ (src_meta, eid) ]
+
+let rec src_of (meta : Event.meta) =
+  match meta with
+  | [] -> -1
+  | (k, v) :: rest -> if String.equal k src_meta then v else src_of rest
+
+(* The envelope, outermost field first: magic u16, length u16, kind
+   u8, source endpoint u32. *)
 let push_envelope t ~kind m =
   Wire.push_endpoint m t.env.Layer.endpoint;
   Msg.push_u8 m (kind_code kind);
   Msg.push_u16 m (Msg.length m land 0xffff);
   Msg.push_u16 m magic
 
+(* Strip an envelope we pushed ourselves, leaving the message as the
+   layer above handed it down. *)
+let strip_envelope m =
+  ignore (Msg.pop_u16 m);
+  ignore (Msg.pop_u16 m);
+  ignore (Msg.pop_u8 m);
+  ignore (Msg.pop_u32 m)
+
+let rec rank_in dests eid i =
+  if i >= Array.length dests then -1
+  else if Addr.endpoint_id dests.(i) = eid then i
+  else rank_in dests eid (i + 1)
+
+(* The delivery metas are immutable lists, so one per destination is
+   built here, once per view, and shared by every packet from it. *)
 let set_dests t dests =
   let self = t.env.Layer.endpoint in
   t.dests <- dests;
-  t.peers <- List.filter (fun d -> not (Addr.equal_endpoint d self)) (Array.to_list dests)
+  t.peers <- List.filter (fun d -> not (Addr.equal_endpoint d self)) (Array.to_list dests);
+  t.self_rank <- rank_in dests (Addr.endpoint_id self) 0;
+  t.metas <-
+    Array.map
+      (fun d -> if Addr.equal_endpoint d self then t.self_meta else meta_of (Addr.endpoint_id d))
+      dests
 
-let xmit t ~dsts wire =
+let xmit t ~dsts m =
   if dsts <> [] then begin
     t.sent <- t.sent + List.length dsts;
-    t.env.Layer.transport.Layer.xmit ~dsts wire
+    t.env.Layer.transport.Layer.xmit ~dsts m
   end
 
-let rank_of_dest t src =
-  let rec loop i =
-    if i >= Array.length t.dests then None
-    else if Addr.equal_endpoint t.dests.(i) src then Some i
-    else loop (i + 1)
-  in
-  loop 0
-
+(* Loopback of an outgoing message: what the network would have
+   delivered to ourselves, without the latency. The transport has
+   already framed its own copy, so the message itself, envelope
+   stripped, is the delivery. *)
 let deliver_local t ~kind m =
-  (* Loopback copy of an outgoing message: what the network would have
-     delivered to ourselves, without the latency. *)
-  let rank =
-    match rank_of_dest t t.env.Layer.endpoint with
-    | Some r -> r
-    | None -> -1
-  in
-  let meta = [ (src_meta, Addr.endpoint_id t.env.Layer.endpoint) ] in
+  strip_envelope m;
   match kind with
-  | Cast -> t.env.Layer.emit_up (Event.U_cast (rank, m, meta))
-  | Send -> t.env.Layer.emit_up (Event.U_send (rank, m, meta))
+  | Cast -> t.env.Layer.emit_up (Event.U_cast (t.self_rank, m, t.self_meta))
+  | Send -> t.env.Layer.emit_up (Event.U_send (t.self_rank, m, t.self_meta))
 
 let handle_down t (ev : Event.down) =
   match ev with
   | Event.D_cast m ->
-    let self = t.env.Layer.endpoint in
-    let self_is_dest = Array.exists (Addr.equal_endpoint self) t.dests in
-    let local = if t.loopback && self_is_dest then Some (Msg.copy m) else None in
     push_envelope t ~kind:Cast m;
-    xmit t ~dsts:t.peers (Msg.to_bytes m);
-    Option.iter (fun l -> deliver_local t ~kind:Cast l) local
+    xmit t ~dsts:t.peers m;
+    if t.loopback && t.self_rank >= 0 then deliver_local t ~kind:Cast m
   | Event.D_send (dsts, m) ->
     let self = t.env.Layer.endpoint in
-    let local =
-      if t.loopback && List.exists (Addr.equal_endpoint self) dsts then Some (Msg.copy m)
-      else None
-    in
+    let local = t.loopback && List.exists (Addr.equal_endpoint self) dsts in
     push_envelope t ~kind:Send m;
     xmit t
       ~dsts:(List.filter (fun dst -> not (Addr.equal_endpoint dst self)) dsts)
-      (Msg.to_bytes m);
-    Option.iter (fun l -> deliver_local t ~kind:Send l) local
+      m;
+    if local then deliver_local t ~kind:Send m
   | Event.D_view v ->
     set_dests t (View.members_array v)
   | Event.D_join contact ->
@@ -134,39 +151,39 @@ let handle_down t (ev : Event.down) =
       (Event.U_system_error
          (Printf.sprintf "%s downcall requires a membership layer" (Event.down_name ev)))
 
+(* The envelope's kind code, or -1 if the envelope is bad. *)
+let pop_envelope_kind m =
+  let mg = Msg.pop_u16 m in
+  let len = Msg.pop_u16 m in
+  if mg <> magic || len <> Msg.length m land 0xffff then -1
+  else
+    let k = Msg.pop_u8 m in
+    if k = kind_code Cast || k = kind_code Send then k else -1
+
+let reject t =
+  t.rejected <- t.rejected + 1;
+  t.env.Layer.trace ~category:"rejected" "bad envelope"
+
 let handle_up t (ev : Event.up) =
   match ev with
   | Event.U_packet (_node, m) ->
     t.received <- t.received + 1;
-    let ok =
-      try
-        let mg = Msg.pop_u16 m in
-        let len = Msg.pop_u16 m in
-        if mg <> magic || len <> Msg.length m land 0xffff then None
-        else
-          let kind = kind_of_code (Msg.pop_u8 m) in
-          let src = Wire.pop_endpoint m in
-          match kind with
-          | None -> None
-          | Some k -> Some (k, src)
-      with Msg.Truncated _ -> None
-    in
-    (match ok with
-     | None ->
-       t.rejected <- t.rejected + 1;
-       t.env.Layer.trace ~category:"rejected" "bad envelope"
-     | Some (kind, src) ->
-       let rank = rank_of_dest t src in
-       let meta = [ (src_meta, Addr.endpoint_id src) ] in
-       (match (kind, rank) with
-        | Cast, None when t.filter ->
-          t.filtered <- t.filtered + 1;
-          t.env.Layer.trace ~category:"filtered"
-            (Format.asprintf "cast from non-member %a" Addr.pp_endpoint src)
-        | Cast, r ->
-          t.env.Layer.emit_up (Event.U_cast (Option.value r ~default:(-1), m, meta))
-        | Send, r ->
-          t.env.Layer.emit_up (Event.U_send (Option.value r ~default:(-1), m, meta))))
+    (match pop_envelope_kind m with
+     | exception Msg.Truncated _ -> reject t
+     | -1 -> reject t
+     | k ->
+       (match Msg.pop_u32 m with
+        | exception Msg.Truncated _ -> reject t
+        | src ->
+          let rank = rank_in t.dests src 0 in
+          let meta = if rank >= 0 then t.metas.(rank) else meta_of src in
+          if k = kind_code Send then t.env.Layer.emit_up (Event.U_send (rank, m, meta))
+          else if rank < 0 && t.filter then begin
+            t.filtered <- t.filtered + 1;
+            t.env.Layer.trace ~category:"filtered"
+              (Format.asprintf "cast from non-member %a" Addr.pp_endpoint (Addr.endpoint src))
+          end
+          else t.env.Layer.emit_up (Event.U_cast (rank, m, meta))))
   | Event.U_view _ | Event.U_cast _ | Event.U_send _ | Event.U_merge_request _
   | Event.U_merge_denied _ | Event.U_flush _ | Event.U_flush_ok _ | Event.U_leave _
   | Event.U_lost_message _ | Event.U_stable _ | Event.U_problem _
@@ -192,25 +209,23 @@ let compile_fastpath t () =
   else begin
     let dests = t.dests in
     let peers = t.peers in
-    let self = t.env.Layer.endpoint in
-    let self_eid = Addr.endpoint_id self in
-    let self_rank = rank_of_dest t self in
-    let local_wanted = t.loopback && self_rank <> None in
-    let send_meta = [ (src_meta, self_eid) ] in
+    let self_eid = Addr.endpoint_id t.env.Layer.endpoint in
+    let local_wanted = t.loopback && t.self_rank >= 0 in
     Some
       { Layer.fpb_send_ready = (fun () -> t.dests == dests);
         fpb_cast =
           (fun seg ->
-             (* local copy before the envelope, as in handle_down *)
-             let local = if local_wanted then Some (Seg.to_msg seg) else None in
              Seg.push_u32 seg self_eid;
              Seg.push_u8 seg (kind_code Cast);
              Seg.push_u16 seg (Seg.length seg land 0xffff);
              Seg.push_u16 seg magic;
-             xmit t ~dsts:peers (Seg.to_wire seg);
-             match (local, self_rank) with
-             | Some lm, Some r -> Some (lm, r, send_meta)
-             | _ -> None);
+             let wire = Seg.to_msg seg in
+             xmit t ~dsts:peers wire;
+             if local_wanted then begin
+               strip_envelope wire;
+               Some (wire, t.self_rank, t.self_meta)
+             end
+             else None);
         fpb_parse =
           (fun m ->
              let mg = Msg.pop_u16 m in
@@ -218,12 +233,10 @@ let compile_fastpath t () =
              if mg <> magic || len <> Msg.length m land 0xffff then None
              else if Msg.pop_u8 m <> kind_code Cast then None
              else
-               let src = Wire.pop_endpoint m in
                (* members only: rank -1 (and the filter) stay on the
                   full path *)
-               match rank_of_dest t src with
-               | None -> None
-               | Some r -> Some (r, [ (src_meta, Addr.endpoint_id src) ]));
+               let r = rank_in t.dests (Msg.pop_u32 m) 0 in
+               if r < 0 then None else Some (r, t.metas.(r)));
         fpb_parsed = (fun () -> t.received <- t.received + 1) }
   end
 
@@ -234,6 +247,9 @@ let create params env =
       loopback = Params.get_bool params "loopback" ~default:true;
       dests = [||];
       peers = [];
+      self_rank = -1;
+      metas = [||];
+      self_meta = meta_of (Addr.endpoint_id env.Layer.endpoint);
       sent = 0;
       received = 0;
       rejected = 0;

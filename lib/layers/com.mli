@@ -9,6 +9,10 @@
 val src_meta : string
 (** Meta key carrying the raw source endpoint id on every delivery. *)
 
+val src_of : Horus_hcpi.Event.meta -> int
+(** The source endpoint id under {!src_meta}, or -1 if absent.
+    Allocates nothing. *)
+
 val magic : int
 
 val create : Horus_hcpi.Params.t -> Horus_hcpi.Layer.ctor

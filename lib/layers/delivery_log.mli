@@ -1,17 +1,31 @@
 (** Per-view delivery bookkeeping shared by the membership-family
     layers: contiguous per-origin delivery with an out-of-order stash,
     the unstable-message store used by flush recovery, and the wire
-    codecs for receive vectors and message copies. *)
+    codecs for receive vectors and message copies.
+
+    State is kept per origin: the next expected sequence number, the
+    store as a sequence-indexed ring from the stability floor up, and
+    a stash of early arrivals. Delivering an in-order cast allocates
+    only the logged payload copy and the upcall; {!gc} visits only the
+    entries it frees. *)
 
 open Horus_msg
 open Horus_hcpi
 
 type t
 
-val create : unit -> t
+val create : emit_up:(Event.up -> unit) -> t
+(** A log that delivers through [emit_up], as [U_cast] upcalls. *)
+
 val reset : t -> unit
+(** Forget everything — a new view. *)
+
 val record : t -> origin:int -> seq:int -> string -> unit
+(** Log a payload (add or replace). *)
+
 val size : t -> int
+(** Logged payloads, over all origins. *)
+
 val next_expected : t -> int -> int
 
 val ooo_pending : t -> int
@@ -22,23 +36,23 @@ val advance : t -> origin:int -> seq:int -> payload:string -> unit
     origin's lane past [seq] and log [payload] — the fused-delivery
     commit. *)
 
-val accept :
-  t ->
-  origin:int -> seq:int -> rank:int ->
-  Msg.t -> Event.meta ->
-  deliver:(rank:int -> Msg.t -> Event.meta -> unit) ->
-  unit
-(** Deliver in per-origin sequence; stash ahead-of-sequence arrivals;
-    drop duplicates. *)
+val accept : t -> origin:int -> seq:int -> rank:int -> Msg.t -> Event.meta -> unit
+(** Deliver in per-origin sequence as [U_cast (rank, m, meta)],
+    logging each delivered payload, then deliver whatever was stashed
+    right behind it; stash ahead-of-sequence arrivals (a later arrival
+    with the same seq replaces the stashed one); drop duplicates.
+    [rank] is delivered as given: resolve it before the call. *)
 
 val vector : t -> (int * int) list
-(** Sorted (origin, next expected) pairs — a flush receive vector. *)
+(** Sorted (origin, next expected) pairs, for every origin with a
+    delivery — a flush receive vector. *)
 
 val copies : t -> (int * int * string) list
 (** Every logged message, sorted — a flush reply's offered copies. *)
 
 val gc : t -> floor_of:(int -> int) -> unit
-(** Drop logged messages below the per-origin stability floor. *)
+(** Drop logged messages below the per-origin stability floor.
+    [floor_of] is asked once per origin with logged messages. *)
 
 val push_pairs : Msg.t -> (int * int) list -> unit
 val pop_pairs : Msg.t -> (int * int) list

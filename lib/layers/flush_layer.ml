@@ -53,8 +53,6 @@ let me t = t.env.Layer.endpoint
 
 let my_eid t = Addr.endpoint_id (me t)
 
-let src_of meta = Option.value (Event.meta_find meta Com.src_meta) ~default:(-1)
-
 let unicast t dst m =
   t.ctl_sent <- t.ctl_sent + 1;
   t.env.Layer.emit_down (Event.D_send ([ dst ], m))
@@ -65,9 +63,8 @@ let rank_of_origin t origin =
   | Some v -> Option.value (View.rank_of v (Addr.endpoint origin)) ~default:(-1)
 
 let accept_data t ~origin ~seq ~rank m meta =
-  Delivery_log.accept t.log ~origin ~seq ~rank m meta ~deliver:(fun ~rank m meta ->
-      let rank = if rank >= 0 then rank else rank_of_origin t origin in
-      t.env.Layer.emit_up (Event.U_cast (rank, m, meta)))
+  let rank = if rank >= 0 then rank else rank_of_origin t origin in
+  Delivery_log.accept t.log ~origin ~seq ~rank m meta
 
 let vector t = Delivery_log.vector t.log
 
@@ -158,7 +155,7 @@ let create (_ : Params.t) env =
     { env;
       view = None;
       next_seq = 0;
-      log = Delivery_log.create ();
+      log = Delivery_log.create ~emit_up:env.Layer.emit_up;
       recovery = None;
       early_states = [];
       recoveries_run = 0;
@@ -193,7 +190,7 @@ let create (_ : Params.t) env =
          let kind = Msg.pop_u8 m in
          if kind = k_data then begin
            let seq = Msg.pop_u32 m in
-           let origin = src_of meta in
+           let origin = Com.src_of meta in
            (* Same straggler rule as MBRSHIP: once our STATE is out, a
               late copy from a failed origin would escape the cut. *)
            let straggler =
@@ -212,7 +209,7 @@ let create (_ : Params.t) env =
            match t.recovery with
            | Some rc
              when Addr.equal_endpoint rc.rc_coord (me t) && same_failed failed rc.rc_failed ->
-             let src = src_of meta in
+             let src = Com.src_of meta in
              if ESet.mem (Addr.endpoint src) rc.rc_waiting then begin
                rc.rc_waiting <- ESet.remove (Addr.endpoint src) rc.rc_waiting;
                rc.rc_states <- (src, vec, copies) :: rc.rc_states;
@@ -220,7 +217,7 @@ let create (_ : Params.t) env =
              end
            | Some _ -> ()
            | None ->
-             t.early_states <- (failed, src_of meta, vec, copies) :: t.early_states
+             t.early_states <- (failed, Com.src_of meta, vec, copies) :: t.early_states
          end
          else if kind = k_fwd then
            List.iter

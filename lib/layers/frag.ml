@@ -21,8 +21,6 @@ type state = {
   mutable reassembled : int;
 }
 
-let src_of meta = Option.value (Event.meta_find meta Com.src_meta) ~default:(-1)
-
 (* Cut [m] front to back into fragments of at most [frag_size] payload
    bytes, each copied once out of [m]'s buffer and tagged with the
    more-flag; emit them downward via [send]. *)
@@ -71,9 +69,10 @@ let create params env =
       fragmented = 0;
       reassembled = 0 }
   in
+  let cast_down f = env.Layer.emit_down (Event.D_cast f) in
   let handle_down (ev : Event.down) =
     match ev with
-    | Event.D_cast m -> fragment t m ~send:(fun f -> env.Layer.emit_down (Event.D_cast f))
+    | Event.D_cast m -> fragment t m ~send:cast_down
     | Event.D_send (dsts, m) ->
       fragment t m ~send:(fun f -> env.Layer.emit_down (Event.D_send (dsts, Msg.copy f)))
     | Event.D_view _ ->
@@ -97,21 +96,27 @@ let create params env =
           fp_deliver_check =
             (fun ~rank:_ ~meta m ->
                (not (Msg.pop_bool m))
-               && not (Hashtbl.mem t.cast_partial (src_of meta)));
+               && not (Hashtbl.mem t.cast_partial (Com.src_of meta)));
           fp_deliver_commit = (fun ~rank:_ ~meta:_ _ -> ()) });
   let handle_up (ev : Event.up) =
     match ev with
     | Event.U_cast (rank, m, meta) ->
       (try
          let more = Msg.pop_bool m in
-         match reassemble t t.cast_partial ~key:(src_of meta) ~more m with
-         | Some whole -> env.Layer.emit_up (Event.U_cast (rank, whole, meta))
-         | None -> ()
+         let key = Com.src_of meta in
+         (* An unfragmented cast with nothing pending from its origin
+            — the common case — passes straight up. *)
+         if (not more) && not (Hashtbl.mem t.cast_partial key) then
+           env.Layer.emit_up (Event.U_cast (rank, m, meta))
+         else
+           match reassemble t t.cast_partial ~key ~more m with
+           | Some whole -> env.Layer.emit_up (Event.U_cast (rank, whole, meta))
+           | None -> ()
        with Msg.Truncated _ -> env.Layer.trace ~category:"dropped" "truncated fragment")
     | Event.U_send (rank, m, meta) ->
       (try
          let more = Msg.pop_bool m in
-         match reassemble t t.send_partial ~key:(src_of meta) ~more m with
+         match reassemble t t.send_partial ~key:(Com.src_of meta) ~more m with
          | Some whole -> env.Layer.emit_up (Event.U_send (rank, whole, meta))
          | None -> ()
        with Msg.Truncated _ -> env.Layer.trace ~category:"dropped" "truncated fragment")

@@ -45,9 +45,10 @@ let k_merge_ready = 9
 let k_suspect = 10
 let k_leave_req = 11
 let k_app_send = 12  (* subset sends of layers above, passing through *)
-let k_halt = 13      (* primary-partition mode: minority must halt *)  (* subset sends of layers above, passing through *)
+let k_halt = 13      (* primary-partition mode: minority must halt *)
 
 module ESet = Addr.Endpoint_set
+module ISet = Set.Make (Int)
 
 type reply = {
   rep_vector : (int * int) list;          (* origin eid -> next expected seq *)
@@ -113,17 +114,21 @@ type state = {
   mutable view : View.t option;
   mutable next_seq : int;                       (* my casts, this view *)
   log : Delivery_log.t;                         (* per-view delivery + unstable store *)
-  acked : (int * int, int) Hashtbl.t;           (* (origin, peer) -> peer's delivered *)
+  acked : (int, int array) Hashtbl.t;
+      (* origin eid -> per member rank, the next seq of that origin the
+         member reported delivering (0 until it reports; our own
+         column is unused). A row per origin named by stability gossip
+         — an origin outside the view, a straggler, gets one too. *)
   mutable suspects : ESet.t;
   pending_suspects : (int, Addr.endpoint) Hashtbl.t;
       (* suspicions inside their grace window, keyed by endpoint id;
          hearing anything from the member cancels the entry *)
-  mutable failed_set : ESet.t;
+  mutable failed_set : ISet.t;
       (* endpoints a view install removed: the Section 5 ignore rule's
-         post-view half. A straggler cast from one of these would
-         surface at whichever members it happens to reach, in a view
-         its origin is not part of — so data from them is dropped
-         until a later install (a merge) re-admits them. *)
+         post-view half, by endpoint id. A straggler cast from one of
+         these would surface at whichever members it happens to reach,
+         in a view its origin is not part of — so data from them is
+         dropped until a later install (a merge) re-admits them. *)
   pending_casts : Msg.t Queue.t;                (* casts issued while blocked *)
   mutable round_counter : int;
   mutable merge_wait : merge_wait option;       (* outgoing merge in progress *)
@@ -142,8 +147,6 @@ type state = {
 let me t = t.env.Layer.endpoint
 
 let my_eid t = Addr.endpoint_id (me t)
-
-let src_of meta = Option.value (Event.meta_find meta Com.src_meta) ~default:(-1)
 
 let epoch t = match t.view with Some v -> View.ltime v | None -> -1
 
@@ -184,30 +187,34 @@ let rank_of_origin t origin =
 (* Deliver origin's data cast in sequence (shared bookkeeping;
    forwarded copies can race direct copies). *)
 let accept_data t ~origin ~seq ~rank m meta =
-  Delivery_log.accept t.log ~origin ~seq ~rank m meta ~deliver:(fun ~rank m meta ->
-      let rank = if rank >= 0 then rank else rank_of_origin t origin in
-      t.env.Layer.emit_up (Event.U_cast (rank, m, meta)))
+  let rank = if rank >= 0 then rank else rank_of_origin t origin in
+  Delivery_log.accept t.log ~origin ~seq ~rank m meta
 
 (* --- stability gossip and log GC --- *)
 
 let stab_vector t = Delivery_log.vector t.log
 
+(* An origin's stability floor: the least next-expected seq over the
+   view's members, ours read live from the log. *)
+let floor_of t v origin =
+  let me = my_eid t in
+  let row = match Hashtbl.find t.acked origin with row -> row | exception Not_found -> [||] in
+  let members = View.members_array v in
+  let floor = ref max_int in
+  for r = 0 to Array.length members - 1 do
+    let d =
+      if Addr.endpoint_id members.(r) = me then Delivery_log.next_expected t.log origin
+      else if r < Array.length row then row.(r)
+      else 0
+    in
+    if d < !floor then floor := d
+  done;
+  !floor
+
 let gc_store t =
   match t.view with
   | None -> ()
-  | Some v ->
-    let floor_of origin =
-      List.fold_left
-        (fun acc m ->
-           let peer = Addr.endpoint_id m in
-           let d =
-             if peer = my_eid t then Delivery_log.next_expected t.log origin
-             else Option.value (Hashtbl.find_opt t.acked (origin, peer)) ~default:0
-           in
-           Int.min acc d)
-        max_int (View.members v)
-    in
-    Delivery_log.gc t.log ~floor_of
+  | Some v -> Delivery_log.gc t.log ~floor_of:(floor_of t v)
 
 let cast_stab t =
   if t.phase = Normal && List.length (members t) > 1 then begin
@@ -218,11 +225,28 @@ let cast_stab t =
     t.env.Layer.emit_down (Event.D_cast m)
   end
 
+(* Only members' reports can raise a floor, so a report from outside
+   the view is read and dropped. *)
 let handle_stab t ~src m =
-  List.iter (fun (origin, next) ->
-      let prev = Option.value (Hashtbl.find_opt t.acked (origin, src)) ~default:0 in
-      if next > prev then Hashtbl.replace t.acked (origin, src) next)
-    (pop_pairs m);
+  let pairs = pop_pairs m in
+  (match t.view with
+   | Some v when src >= 0 ->
+     (match View.rank_of v (Addr.endpoint src) with
+      | Some peer ->
+        List.iter
+          (fun (origin, next) ->
+             let row =
+               match Hashtbl.find_opt t.acked origin with
+               | Some row -> row
+               | None ->
+                 let row = Array.make (View.size v) 0 in
+                 Hashtbl.replace t.acked origin row;
+                 row
+             in
+             if next > row.(peer) then row.(peer) <- next)
+          pairs
+      | None -> ())
+   | Some _ | None -> ());
   gc_store t
 
 (* --- view adoption --- *)
@@ -235,10 +259,11 @@ let adopt_view t v =
   (match t.view with
    | Some prev ->
      List.iter
-       (fun m -> if not (View.mem v m) then t.failed_set <- ESet.add m t.failed_set)
+       (fun m ->
+          if not (View.mem v m) then t.failed_set <- ISet.add (Addr.endpoint_id m) t.failed_set)
        (View.members prev)
    | None -> ());
-  t.failed_set <- ESet.filter (fun m -> not (View.mem v m)) t.failed_set;
+  t.failed_set <- ISet.filter (fun id -> not (View.mem v (Addr.endpoint id))) t.failed_set;
   t.view <- Some v;
   t.next_seq <- 0;
   Delivery_log.reset t.log;
@@ -664,7 +689,8 @@ let note_suspects t es =
 (* Evidence of life from [eid]: cancel any suspicion still inside its
    grace window. Confirmed suspicions are not unwound — the flush they
    triggered resolves through a view change and a later merge. *)
-let heard_from t eid = Hashtbl.remove t.pending_suspects eid
+let heard_from t eid =
+  if Hashtbl.length t.pending_suspects > 0 then Hashtbl.remove t.pending_suspects eid
 
 (* --- merging --- *)
 
@@ -873,7 +899,7 @@ let epoch_scoped kind =
   || kind = k_suspect || kind = k_leave_req || kind = k_halt
 
 let handle_ctl t ~rank ~meta kind m =
-  let src = src_of meta in
+  let src = Com.src_of meta in
   ignore rank;
   if epoch_scoped kind && Msg.pop_u32 m <> epoch t then
     t.env.Layer.trace ~category:"stale" (Printf.sprintf "kind %d from old epoch" kind)
@@ -900,12 +926,12 @@ let handle_ctl t ~rank ~meta kind m =
 let handle_up t (ev : Event.up) =
   match ev with
   | Event.U_cast (rank, m, meta) | Event.U_send (rank, m, meta) ->
-    heard_from t (src_of meta);
+    heard_from t (Com.src_of meta);
     (try
        let kind = Msg.pop_u8 m in
        if kind = k_data then begin
          let seq = Msg.pop_u32 m in
-         let origin = src_of meta in
+         let origin = Com.src_of meta in
          (* Section 5: after replying to a flush, ignore messages from
             supposedly failed members — a straggler copy that only some
             survivors receive would break the agreement cut. (It is not
@@ -920,7 +946,7 @@ let handle_up t (ev : Event.up) =
                | Normal ->
                  (* Post-view half of the same rule: the origin was
                     removed as failed by a view we installed. *)
-                 ESet.exists (fun e -> Addr.endpoint_id e = origin) t.failed_set
+                 ISet.mem origin t.failed_set
                | Idle | Exited -> false)
          in
          if from_failed_post_reply then
@@ -959,11 +985,11 @@ let make ~name ~forward_unstable_default params env =
       phase = Idle;
       view = None;
       next_seq = 0;
-      log = Delivery_log.create ();
+      log = Delivery_log.create ~emit_up:env.Layer.emit_up;
       acked = Hashtbl.create 16;
       suspects = ESet.empty;
       pending_suspects = Hashtbl.create 8;
-      failed_set = ESet.empty;
+      failed_set = ISet.empty;
       pending_casts = Queue.create ();
       round_counter = 0;
       merge_wait = None;
@@ -1004,8 +1030,8 @@ let make ~name ~forward_unstable_default params env =
                && Msg.pop_u8 m = k_data
                && begin
                  let seq = Msg.pop_u32 m in
-                 let origin = src_of meta in
-                 (not (ESet.exists (fun e -> Addr.endpoint_id e = origin) t.failed_set))
+                 let origin = Com.src_of meta in
+                 (not (ISet.mem origin t.failed_set))
                  && seq = Delivery_log.next_expected t.log origin
                  && Delivery_log.ooo_pending t.log = 0
                  && begin

@@ -19,6 +19,16 @@
    bounded (pair_buffer_limit) so an unreachable peer cannot hold
    memory hostage.
 
+   Representation. The own-cast retransmission buffer is a ring indexed
+   by sequence number (Horus_util.Seq_ring), holding the framed copies
+   from the acknowledged floor up to the next sequence number: logging
+   a cast is a store, and status-driven GC and the buffer_limit
+   eviction touch only the entries they free. A data cast that arrives
+   exactly in sequence with nothing stashed is delivered straight
+   through; only arrivals ahead of a gap go into the per-origin stash.
+   Liveness timestamps live in unboxed float fields, so hearing from a
+   member on every packet allocates nothing.
+
    Wire kinds (first header byte):
      0 DATA_CAST   epoch, seq        - sequenced multicast data
      1 DATA_SEND   seq               - sequenced pair data
@@ -107,6 +117,9 @@ type cast_recv = {
   mutable cr_nak_attempts : int;    (* re-asks for the same gap; drives backoff *)
 }
 
+(* When a member was last heard from. *)
+type clock = { mutable at : float }
+
 (* One unacknowledged pair message awaiting its retransmission
    deadline. *)
 type unacked = {
@@ -117,10 +130,16 @@ type unacked = {
   mutable u_last_tx : float;        (* last transmission, bounds fast retransmit *)
 }
 
-(* Receiving and sending side of a pair (send) lane with one peer. *)
+(* Receiving and sending side of a pair (send) lane with one peer.
+   Acks remove a prefix of the unacked seqs and the bound evicts the
+   oldest, so the unacked seqs are always exactly
+   [pl_unacked_lo, pl_next_seq). The table stays a hash table because
+   retransmission walks it in its own iteration order, which feeds the
+   backoff PRNG draws and the RTT estimator. *)
 type pair_lane = {
   mutable pl_next_seq : int;                 (* sender side *)
   pl_unacked : (int, unacked) Hashtbl.t;     (* seq -> in-flight entry *)
+  mutable pl_unacked_lo : int;               (* lowest seq still unacked *)
   mutable pl_expected : int;                 (* receiver side *)
   pl_ooo : (int, pending) Hashtbl.t;
 }
@@ -145,14 +164,17 @@ type state = {
   mutable epoch : int;
   mutable members : Addr.endpoint array;     (* current destination set *)
   mutable cast_next_seq : int;               (* my own cast lane, this epoch *)
-  cast_buffer : (int, Msg.t) Hashtbl.t;      (* my casts, seq -> framed copy *)
+  cast_buffer : Msg.t Horus_util.Seq_ring.t;
+      (* my casts, seq -> framed copy: the seqs from the acknowledged
+         floor (or the buffer_limit eviction point) up to
+         [cast_next_seq] *)
   cast_acks : (int, int) Hashtbl.t;          (* peer eid -> high contiguous recv of my casts *)
   recv : (int, cast_recv) Hashtbl.t;         (* origin eid -> lane (current epoch) *)
   mutable future_list : (int * int * int * pending) list;
       (* (origin, epoch, seq, pending): casts from a future view epoch,
          held until our own view install catches up *)
   pairs : (int, pair_lane) Hashtbl.t;        (* peer eid -> lane *)
-  last_heard : (int, float) Hashtbl.t;
+  last_heard : (int, clock) Hashtbl.t;
   suspected : (int, unit) Hashtbl.t;
   mutable stop_timer : unit -> unit;
   (* statistics *)
@@ -166,9 +188,13 @@ let now t = Horus_sim.Engine.now t.env.Layer.engine
 
 let my_eid t = Addr.endpoint_id t.env.Layer.endpoint
 
+(* Evidence of life, once per packet: the time goes into an unboxed
+   float field, so recording it allocates nothing. *)
 let heard t eid =
-  Hashtbl.replace t.last_heard eid (now t);
-  Hashtbl.remove t.suspected eid
+  (match Hashtbl.find t.last_heard eid with
+   | c -> c.at <- now t
+   | exception Not_found -> Hashtbl.replace t.last_heard eid { at = now t });
+  if Hashtbl.length t.suspected > 0 then Hashtbl.remove t.suspected eid
 
 (* Feed an RTT sample to the estimator and mirror it out. *)
 let observe_rtt t sample =
@@ -191,9 +217,9 @@ let next_deadline t ~attempt =
   +. Rto.with_jitter base ~frac:t.jitter ~u:(Horus_util.Prng.float t.env.Layer.prng 1.0)
 
 let recv_lane t origin =
-  match Hashtbl.find_opt t.recv origin with
-  | Some l -> l
-  | None ->
+  match Hashtbl.find t.recv origin with
+  | l -> l
+  | exception Not_found ->
     let l =
       { cr_expected = 0; cr_ooo = Hashtbl.create 8; cr_last_nak_for = -1;
         cr_last_nak_at = -1.0; cr_nak_attempts = 0 }
@@ -206,7 +232,8 @@ let pair_lane t peer =
   | Some l -> l
   | None ->
     let l =
-      { pl_next_seq = 0; pl_unacked = Hashtbl.create 8; pl_expected = 0; pl_ooo = Hashtbl.create 8 }
+      { pl_next_seq = 0; pl_unacked = Hashtbl.create 8; pl_unacked_lo = 0; pl_expected = 0;
+        pl_ooo = Hashtbl.create 8 }
     in
     Hashtbl.replace t.pairs peer l;
     l
@@ -254,18 +281,37 @@ let send_nak t ~origin ~from_seq ~to_seq =
     xmit_to t (Addr.endpoint origin) m
   end
 
-let deliver t (p : pending) =
-  if p.p_placeholder then t.env.Layer.emit_up (Event.U_lost_message p.p_rank)
-  else t.env.Layer.emit_up (Event.U_cast (p.p_rank, p.p_msg, p.p_meta))
+let deliver t ~rank ~placeholder m meta =
+  if placeholder then t.env.Layer.emit_up (Event.U_lost_message rank)
+  else t.env.Layer.emit_up (Event.U_cast (rank, m, meta))
+
+(* The gap we asked about closed: the NAK-to-repair turnaround is an
+   RTT sample (noisy — the original may have merely been slow — but
+   the EWMA absorbs that), and the ask counter rewinds. *)
+let close_nak t lane =
+  if lane.cr_last_nak_at >= 0.0 && lane.cr_expected > lane.cr_last_nak_for then begin
+    observe_rtt t (now t -. lane.cr_last_nak_at);
+    lane.cr_last_nak_at <- -1.0;
+    lane.cr_last_nak_for <- -1;
+    lane.cr_nak_attempts <- 0
+  end
 
 (* Deliver in-sequence casts from an origin's lane, draining any
-   buffered successors. *)
-let accept_cast t ~origin ~seq (p : pending) =
+   buffered successors. The common case — the next expected cast with
+   nothing stashed — is delivered directly; only a cast that arrives
+   ahead of a gap is stashed (and NAKs the gap). *)
+let accept_cast t ~origin ~seq ~rank ~placeholder m meta =
   let lane = recv_lane t origin in
   if seq < lane.cr_expected || Hashtbl.mem lane.cr_ooo seq then
     t.duplicates <- t.duplicates + 1
+  else if seq = lane.cr_expected && Hashtbl.length lane.cr_ooo = 0 then begin
+    lane.cr_expected <- seq + 1;
+    deliver t ~rank ~placeholder m meta;
+    close_nak t lane
+  end
   else begin
-    Hashtbl.replace lane.cr_ooo seq p;
+    Hashtbl.replace lane.cr_ooo seq
+      { p_rank = rank; p_msg = m; p_meta = meta; p_placeholder = placeholder };
     if seq > lane.cr_expected then
       send_nak t ~origin ~from_seq:lane.cr_expected ~to_seq:(seq - 1);
     let continue = ref true in
@@ -274,18 +320,10 @@ let accept_cast t ~origin ~seq (p : pending) =
       | Some next ->
         Hashtbl.remove lane.cr_ooo lane.cr_expected;
         lane.cr_expected <- lane.cr_expected + 1;
-        deliver t next
+        deliver t ~rank:next.p_rank ~placeholder:next.p_placeholder next.p_msg next.p_meta
       | None -> continue := false
     done;
-    (* The gap we asked about closed: the NAK-to-repair turnaround is
-       an RTT sample (noisy — the original may have merely been slow —
-       but the EWMA absorbs that), and the ask counter rewinds. *)
-    if lane.cr_last_nak_at >= 0.0 && lane.cr_expected > lane.cr_last_nak_for then begin
-      observe_rtt t (now t -. lane.cr_last_nak_at);
-      lane.cr_last_nak_at <- -1.0;
-      lane.cr_last_nak_for <- -1;
-      lane.cr_nak_attempts <- 0
-    end
+    close_nak t lane
   end
 
 let accept_send t ~peer ~seq (p : pending) =
@@ -319,22 +357,27 @@ let accept_send t ~peer ~seq (p : pending) =
   end
 
 (* Garbage-collect my cast buffer: drop everything every current member
-   has acknowledged. *)
+   has acknowledged — the freed seqs only, not a sweep of the buffer. *)
 let gc_cast_buffer t =
   let my = my_eid t in
   let min_acked = ref max_int in
-  Array.iter
-    (fun m ->
-       let eid = Addr.endpoint_id m in
-       if eid <> my then begin
-         let a = Option.value (Hashtbl.find_opt t.cast_acks eid) ~default:(-1) in
-         if a < !min_acked then min_acked := a
-       end)
-    t.members;
-  if !min_acked < max_int then
-    Hashtbl.iter
-      (fun seq _ -> if seq <= !min_acked then Hashtbl.remove t.cast_buffer seq)
-      (Hashtbl.copy t.cast_buffer)
+  for i = 0 to Array.length t.members - 1 do
+    let eid = Addr.endpoint_id t.members.(i) in
+    if eid <> my then begin
+      let a = Option.value (Hashtbl.find_opt t.cast_acks eid) ~default:(-1) in
+      if a < !min_acked then min_acked := a
+    end
+  done;
+  if !min_acked < max_int then Horus_util.Seq_ring.drop_below t.cast_buffer (!min_acked + 1)
+
+(* Log a framed copy of my cast [seq] for retransmission. Bounded
+   buffering (the paper: "buffers some messages ... will retransmit if
+   the message is still buffered. If not, it will send a place
+   holder"): beyond the limit the oldest copy is forgotten. *)
+let buffer_cast t seq framed =
+  Horus_util.Seq_ring.set t.cast_buffer seq framed;
+  if Horus_util.Seq_ring.length t.cast_buffer > t.buffer_limit then
+    Horus_util.Seq_ring.remove t.cast_buffer (Horus_util.Seq_ring.lowest t.cast_buffer)
 
 let handle_nak_cast t ~requester m =
   let epoch = Msg.pop_u32 m in
@@ -343,17 +386,18 @@ let handle_nak_cast t ~requester m =
   if epoch = t.epoch then begin
     t.env.Layer.fp_invalidate ();
     for seq = from_seq to to_seq do
-      match Hashtbl.find_opt t.cast_buffer seq with
-      | Some framed ->
+      if Horus_util.Seq_ring.mem t.cast_buffer seq then begin
         count_retransmission t;
-        xmit_to t (Addr.endpoint requester) (Msg.copy framed)
-      | None ->
+        xmit_to t (Addr.endpoint requester) (Msg.copy (Horus_util.Seq_ring.get t.cast_buffer seq))
+      end
+      else begin
         t.placeholders <- t.placeholders + 1;
         let ph = Msg.empty () in
         Msg.push_u32 ph seq;
         Msg.push_u32 ph epoch;
         Msg.push_u8 ph k_placeholder;
         xmit_to t (Addr.endpoint requester) ph
+      end
     done
   end
 
@@ -425,8 +469,13 @@ let check_failures t =
     (fun member ->
        let eid = Addr.endpoint_id member in
        if eid <> my && not (Hashtbl.mem t.suspected eid) then begin
-         let last = Option.value (Hashtbl.find_opt t.last_heard eid) ~default:tnow in
-         if not (Hashtbl.mem t.last_heard eid) then Hashtbl.replace t.last_heard eid tnow;
+         let last =
+           match Hashtbl.find t.last_heard eid with
+           | c -> c.at
+           | exception Not_found ->
+             Hashtbl.replace t.last_heard eid { at = tnow };
+             tnow
+         in
          if tnow -. last > t.suspect_after then begin
            Hashtbl.replace t.suspected eid ();
            t.env.Layer.trace ~category:"suspect" (Addr.endpoint_to_string member);
@@ -450,19 +499,20 @@ let change_epoch t ~epoch ~members =
        silence from before the install (e.g. across a partition that
        just merged) must not count against anyone. *)
     let tnow = now t in
-    Array.iter (fun m -> Hashtbl.replace t.last_heard (Addr.endpoint_id m) tnow) members;
+    Array.iter (fun m -> Hashtbl.replace t.last_heard (Addr.endpoint_id m) { at = tnow }) members;
     Hashtbl.reset t.suspected;
     t.cast_next_seq <- 0;
-    Hashtbl.reset t.cast_buffer;
+    Horus_util.Seq_ring.clear t.cast_buffer;
     Hashtbl.reset t.cast_acks;
     Hashtbl.reset t.recv;
     let replay = List.filter (fun (_, e, _, _) -> e = epoch) (List.rev t.future_list) in
     t.future_list <- List.filter (fun (_, e, _, _) -> e > epoch) t.future_list;
-    List.iter (fun (origin, _, seq, p) -> accept_cast t ~origin ~seq p) replay
+    List.iter
+      (fun (origin, _, seq, p) ->
+         accept_cast t ~origin ~seq ~rank:p.p_rank ~placeholder:p.p_placeholder p.p_msg p.p_meta)
+      replay
   end
   else t.members <- members
-
-let src_of meta = Option.value (Event.meta_find meta Com.src_meta) ~default:(-1)
 
 let handle_down t (ev : Event.down) =
   match ev with
@@ -472,16 +522,7 @@ let handle_down t (ev : Event.down) =
     Msg.push_u32 m seq;
     Msg.push_u32 m t.epoch;
     Msg.push_u8 m k_data_cast;
-    Hashtbl.replace t.cast_buffer seq (Msg.copy m);
-    (* Bounded buffering (the paper: "buffers some messages ... will
-       retransmit if the message is still buffered. If not, it will
-       send a place holder"). *)
-    if Hashtbl.length t.cast_buffer > t.buffer_limit then begin
-      let oldest =
-        Hashtbl.fold (fun s _ acc -> Int.min s acc) t.cast_buffer max_int
-      in
-      Hashtbl.remove t.cast_buffer oldest
-    end;
+    buffer_cast t seq (Msg.copy m);
     t.env.Layer.emit_down (Event.D_cast m)
   | Event.D_send (dsts, m) ->
     (* Fan a subset send out into per-pair sequenced unicasts. *)
@@ -509,10 +550,8 @@ let handle_down t (ev : Event.down) =
               no longer retransmitted; the layers above (membership
               flush, merge watchdogs) own end-to-end recovery. *)
            if Hashtbl.length lane.pl_unacked > t.pair_buffer_limit then begin
-             let oldest =
-               Hashtbl.fold (fun s _ acc -> Int.min s acc) lane.pl_unacked max_int
-             in
-             Hashtbl.remove lane.pl_unacked oldest
+             Hashtbl.remove lane.pl_unacked lane.pl_unacked_lo;
+             lane.pl_unacked_lo <- lane.pl_unacked_lo + 1
            end;
            t.env.Layer.emit_down (Event.D_send ([ dst ], body))
          end)
@@ -525,9 +564,7 @@ let handle_down t (ev : Event.down) =
   | Event.D_leave | Event.D_dump ->
     t.env.Layer.emit_down ev
 
-let handle_data t ~rank ~meta m ~(is_send : bool) =
-  let src = src_of meta in
-  heard t src;
+let handle_data t ~src ~rank ~meta m ~(is_send : bool) =
   if is_send then begin
     let seq = Msg.pop_u32 m in
     if src = my_eid t then
@@ -539,9 +576,11 @@ let handle_data t ~rank ~meta m ~(is_send : bool) =
   else begin
     let epoch = Msg.pop_u32 m in
     let seq = Msg.pop_u32 m in
-    let p = { p_rank = rank; p_msg = m; p_meta = meta; p_placeholder = false } in
-    if epoch = t.epoch then accept_cast t ~origin:src ~seq p
-    else if epoch > t.epoch then t.future_list <- (src, epoch, seq, p) :: t.future_list
+    if epoch = t.epoch then accept_cast t ~origin:src ~seq ~rank ~placeholder:false m meta
+    else if epoch > t.epoch then
+      t.future_list <-
+        (src, epoch, seq, { p_rank = rank; p_msg = m; p_meta = meta; p_placeholder = false })
+        :: t.future_list
     (* stale epoch: drop *)
   end
 
@@ -550,34 +589,38 @@ let handle_up t (ev : Event.up) =
   | Event.U_cast (rank, m, meta) | Event.U_send (rank, m, meta) ->
     (try
        let kind = Msg.pop_u8 m in
-       let src = src_of meta in
+       let src = Com.src_of meta in
        heard t src;
-       if kind = k_data_cast then handle_data t ~rank ~meta m ~is_send:false
-       else if kind = k_data_send then handle_data t ~rank ~meta m ~is_send:true
+       if kind = k_data_cast then handle_data t ~src ~rank ~meta m ~is_send:false
+       else if kind = k_data_send then handle_data t ~src ~rank ~meta m ~is_send:true
        else if kind = k_nak_cast then handle_nak_cast t ~requester:src m
        else if kind = k_status then handle_status t ~src m
        else if kind = k_placeholder then begin
          let epoch = Msg.pop_u32 m in
          let seq = Msg.pop_u32 m in
-         if epoch = t.epoch then
-           accept_cast t ~origin:src ~seq
-             { p_rank = rank; p_msg = m; p_meta = meta; p_placeholder = true }
+         if epoch = t.epoch then accept_cast t ~origin:src ~seq ~rank ~placeholder:true m meta
        end
        else if kind = k_ack_send then begin
          let high = Msg.pop_u32 m in
          (match Hashtbl.find_opt t.pairs src with
           | Some lane ->
             let tnow = now t in
-            Hashtbl.iter
-              (fun seq u ->
-                 if seq < high then begin
-                   (* Karn's rule: only never-retransmitted messages
-                      yield RTT samples — a retransmitted one's ack is
-                      ambiguous about which copy it answers. *)
-                   if u.u_attempts = 0 then observe_rtt t (tnow -. u.u_sent_at);
-                   Hashtbl.remove lane.pl_unacked seq
-                 end)
-              (Hashtbl.copy lane.pl_unacked);
+            (* In place, in the table's own iteration order: the RTT
+               samples feed an EWMA, so their order matters. *)
+            if high > lane.pl_unacked_lo then begin
+              Hashtbl.filter_map_inplace
+                (fun seq u ->
+                   if seq < high then begin
+                     (* Karn's rule: only never-retransmitted messages
+                        yield RTT samples — a retransmitted one's ack
+                        is ambiguous about which copy it answers. *)
+                     if u.u_attempts = 0 then observe_rtt t (tnow -. u.u_sent_at);
+                     None
+                   end
+                   else Some u)
+                lane.pl_unacked;
+              lane.pl_unacked_lo <- Int.min high lane.pl_next_seq
+            end;
             (* Fast retransmit: the peer acks on every arrival, so an
                ack naming a seq we still hold means later messages got
                through while this one is missing — the peer is stuck
@@ -632,7 +675,7 @@ let create params env =
       epoch = 0;
       members = [||];
       cast_next_seq = 0;
-      cast_buffer = Hashtbl.create 64;
+      cast_buffer = Horus_util.Seq_ring.create ~dummy:(Msg.empty ());
       cast_acks = Hashtbl.create 8;
       recv = Hashtbl.create 8;
       future_list = [];
@@ -666,20 +709,14 @@ let create params env =
                Seg.push_u32 seg seq;
                Seg.push_u32 seg t.epoch;
                Seg.push_u8 seg k_data_cast;
-               Hashtbl.replace t.cast_buffer seq (Seg.to_msg seg);
-               if Hashtbl.length t.cast_buffer > t.buffer_limit then begin
-                 let oldest =
-                   Hashtbl.fold (fun s _ acc -> Int.min s acc) t.cast_buffer max_int
-                 in
-                 Hashtbl.remove t.cast_buffer oldest
-               end);
+               buffer_cast t seq (Seg.to_msg seg));
           fp_deliver_check =
             (fun ~rank:_ ~meta m ->
                Msg.pop_u8 m = k_data_cast
                && Msg.pop_u32 m = t.epoch
                && begin
                  let seq = Msg.pop_u32 m in
-                 let src = src_of meta in
+                 let src = Com.src_of meta in
                  let lane = recv_lane t src in
                  seq = lane.cr_expected
                  && Hashtbl.length lane.cr_ooo = 0
@@ -695,22 +732,14 @@ let create params env =
                heard t src;
                let lane = recv_lane t src in
                lane.cr_expected <- !chk_seq + 1;
-               if
-                 lane.cr_last_nak_at >= 0.0
-                 && lane.cr_expected > lane.cr_last_nak_for
-               then begin
-                 observe_rtt t (now t -. lane.cr_last_nak_at);
-                 lane.cr_last_nak_at <- -1.0;
-                 lane.cr_last_nak_for <- -1;
-                 lane.cr_nak_attempts <- 0
-               end) });
+               close_nak t lane) });
   { Layer.name = "NAK";
     handle_down = handle_down t;
     handle_up = handle_up t;
     dump =
       (fun () ->
          [ Printf.sprintf "epoch=%d next_seq=%d buffered=%d" t.epoch t.cast_next_seq
-             (Hashtbl.length t.cast_buffer);
+             (Horus_util.Seq_ring.length t.cast_buffer);
            Printf.sprintf "naks=%d rexmit=%d placeholders=%d dups=%d" t.naks_sent
              t.retransmissions t.placeholders t.duplicates;
            Printf.sprintf "pairs=%d unacked=%d rto=%.3f" (Hashtbl.length t.pairs)

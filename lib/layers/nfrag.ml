@@ -26,8 +26,6 @@ type state = {
   mutable abandoned : int;
 }
 
-let src_of meta = Option.value (Event.meta_find meta Com.src_meta) ~default:(-1)
-
 let fragment t m ~send =
   let total = Msg.length m in
   let count = (total + t.frag_size - 1) / t.frag_size in
@@ -46,15 +44,19 @@ let fragment t m ~send =
     send f
   done
 
+(* Abandon stale partial assemblies, in place. *)
 let gc t =
-  let tnow = Horus_sim.Engine.now t.env.Layer.engine in
-  Hashtbl.iter
-    (fun key p ->
-       if tnow -. p.born > t.max_age then begin
-         Hashtbl.remove t.partials key;
-         t.abandoned <- t.abandoned + 1
-       end)
-    (Hashtbl.copy t.partials)
+  if Hashtbl.length t.partials > 0 then begin
+    let tnow = Horus_sim.Engine.now t.env.Layer.engine in
+    Hashtbl.filter_map_inplace
+      (fun _ p ->
+         if tnow -. p.born > t.max_age then begin
+           t.abandoned <- t.abandoned + 1;
+           None
+         end
+         else Some p)
+      t.partials
+  end
 
 let reassemble t ~key m =
   let msgid = Msg.pop_u32 m in
@@ -112,14 +114,14 @@ let create params env =
     | Event.U_cast (rank, m, meta) ->
       gc t;
       (try
-         match reassemble t ~key:(src_of meta, 0) m with
+         match reassemble t ~key:(Com.src_of meta, 0) m with
          | Some whole -> env.Layer.emit_up (Event.U_cast (rank, whole, meta))
          | None -> ()
        with Msg.Truncated _ -> env.Layer.trace ~category:"dropped" "truncated fragment")
     | Event.U_send (rank, m, meta) ->
       gc t;
       (try
-         match reassemble t ~key:(src_of meta, 1) m with
+         match reassemble t ~key:(Com.src_of meta, 1) m with
          | Some whole -> env.Layer.emit_up (Event.U_send (rank, whole, meta))
          | None -> ()
        with Msg.Truncated _ -> env.Layer.trace ~category:"dropped" "truncated fragment")

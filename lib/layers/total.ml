@@ -180,8 +180,16 @@ let create (_ : Params.t) env =
          let kind = Msg.pop_u8 m in
          if kind = k_ordered then begin
            let gseq = Msg.pop_u32 m in
-           Hashtbl.replace t.buffer gseq (rank, m, meta);
-           deliver_ready t
+           (* The next number with nothing buffered is delivered
+              straight through; only early arrivals are buffered. *)
+           if gseq = t.next_deliver && Hashtbl.length t.buffer = 0 then begin
+             t.next_deliver <- gseq + 1;
+             env.Layer.emit_up (Event.U_cast (rank, m, meta))
+           end
+           else begin
+             Hashtbl.replace t.buffer gseq (rank, m, meta);
+             deliver_ready t
+           end
          end
          else if kind = k_treq then begin
            let req_rank = Msg.pop_u16 m in

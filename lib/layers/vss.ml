@@ -39,17 +39,14 @@ let me t = t.env.Layer.endpoint
 
 let my_eid t = Addr.endpoint_id (me t)
 
-let src_of meta = Option.value (Event.meta_find meta Com.src_meta) ~default:(-1)
-
 let rank_of_origin t origin =
   match t.view with
   | None -> -1
   | Some v -> Option.value (View.rank_of v (Addr.endpoint origin)) ~default:(-1)
 
 let accept_data t ~origin ~seq ~rank m meta =
-  Delivery_log.accept t.log ~origin ~seq ~rank m meta ~deliver:(fun ~rank m meta ->
-      let rank = if rank >= 0 then rank else rank_of_origin t origin in
-      t.env.Layer.emit_up (Event.U_cast (rank, m, meta)))
+  let rank = if rank >= 0 then rank else rank_of_origin t origin in
+  Delivery_log.accept t.log ~origin ~seq ~rank m meta
 
 let push_copies = Delivery_log.push_copies
 let pop_copies = Delivery_log.pop_copies
@@ -96,7 +93,7 @@ let create (_ : Params.t) env =
     { env;
       view = None;
       next_seq = 0;
-      log = Delivery_log.create ();
+      log = Delivery_log.create ~emit_up:env.Layer.emit_up;
       exchange = None;
       early_states = [];
       exchanges_run = 0;
@@ -128,7 +125,7 @@ let create (_ : Params.t) env =
          let kind = Msg.pop_u8 m in
          if kind = k_data then begin
            let seq = Msg.pop_u32 m in
-           let origin = src_of meta in
+           let origin = Com.src_of meta in
            let straggler =
              match t.exchange with
              | Some ex -> List.exists (fun e -> Addr.endpoint_id e = origin) ex.ex_failed
@@ -147,10 +144,10 @@ let create (_ : Params.t) env =
              copies;
            match t.exchange with
            | Some ex when same_failed failed ex.ex_failed ->
-             ex.ex_waiting <- ESet.remove (Addr.endpoint (src_of meta)) ex.ex_waiting;
+             ex.ex_waiting <- ESet.remove (Addr.endpoint (Com.src_of meta)) ex.ex_waiting;
              maybe_release t
            | Some _ -> ()
-           | None -> t.early_states <- (failed, src_of meta) :: t.early_states
+           | None -> t.early_states <- (failed, Com.src_of meta) :: t.early_states
          end
          else env.Layer.trace ~category:"dropped" (Printf.sprintf "unknown kind %d" kind)
        with Msg.Truncated what -> env.Layer.trace ~category:"dropped" ("truncated " ^ what))

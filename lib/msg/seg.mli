@@ -24,11 +24,9 @@ val push_bool : t -> bool -> unit
     {!Msg} pushes. A header stack that outgrows the pooled block
     spills into a private larger buffer, so pushes never fail. *)
 
-val to_wire : t -> Bytes.t
-(** Gather headers and body into one fresh buffer (the wire image). *)
-
 val contents : t -> string
-(** [to_wire] as a string. *)
+(** Headers and body gathered into one fresh string (the wire
+    image). *)
 
 val to_msg : t -> Msg.t
 (** A flat {!Msg} (with default headroom) holding the gathered

@@ -54,19 +54,24 @@ let get_u32 b at = Int32.to_int (Bytes.get_int32_be b at) land 0xffffffff
 
 (* One buffer of exactly the frame's size: header fields written in
    place (the same u32 ids the Wire codecs push), the payload blitted
-   once, the CRC appended. *)
-let encode ?(version = version) ~src ~group payload =
-  let n = Bytes.length payload in
-  let frame = Bytes.create (overhead + n) in
+   once from the caller's buffer, the CRC appended. *)
+let frame ~version ~src ~group payload ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length payload - len then invalid_arg "Frame.encode";
+  let frame = Bytes.create (overhead + len) in
   Bytes.set_uint16_be frame 0 magic;
   Bytes.set_uint8 frame 2 version;
   set_u32 frame 3 (Addr.endpoint_id src);
   set_u32 frame 7 (Addr.group_id group);
-  set_u32 frame 11 n;
-  Bytes.blit payload 0 frame header_bytes n;
-  let body = header_bytes + n in
+  set_u32 frame 11 len;
+  Bytes.blit payload off frame header_bytes len;
+  let body = header_bytes + len in
   set_u32 frame body (Horus_util.Crc.crc32 frame ~off:0 ~len:body);
   frame
+
+let encode ?(version = version) ~src ~group payload =
+  frame ~version ~src ~group payload ~off:0 ~len:(Bytes.length payload)
+
+let encode_sub ~src ~group payload ~off ~len = frame ~version ~src ~group payload ~off ~len
 
 (* Check a frame sitting at [off..off+len) of [b] and locate its
    payload, copying nothing: rx paths hand views into a reusable

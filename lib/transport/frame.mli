@@ -35,6 +35,12 @@ val encode : ?version:int -> src:Addr.endpoint -> group:Addr.group -> Bytes.t ->
     the payload copied into it once. [version] is exposed for the
     codec's own rejection tests; real senders use the default. *)
 
+val encode_sub :
+  src:Addr.endpoint -> group:Addr.group -> Bytes.t -> off:int -> len:int -> Bytes.t
+(** {!encode} of the [len] bytes of a buffer starting at [off] — a
+    message's live bytes, framed without first being copied out.
+    Raises [Invalid_argument] if the range is not inside the buffer. *)
+
 val decode_view : Bytes.t -> off:int -> len:int -> (header * int * int, error) result
 (** Check the frame held in the [len] bytes of [b] starting at [off]
     and locate its payload, copying nothing: [Ok (hdr, poff, plen)]

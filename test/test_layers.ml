@@ -143,6 +143,35 @@ let test_nak_placeholder_lost_message () =
   (* ...and every forgotten message was acknowledged as lost. *)
   Alcotest.(check int) "seven placeholders -> LOST_MESSAGE" 7 (Group.lost_messages b)
 
+let test_nak_placeholders_after_wrap () =
+  (* The retransmission buffer is a ring indexed by sequence number.
+     Let it wrap several times — 20 casts delivered and acknowledged,
+     each logged and then freed — before the wire is cut for 10 more:
+     the 3 still buffered (seqs 27-29, in slots the ring has reused)
+     must be retransmitted intact and in order, and the 7 it had to
+     forget (seqs 20-26) answered with placeholders. *)
+  let world, members =
+    mk_group ~spec:"NAK(buffer_limit=3,status_period=0.02):COM" ()
+  in
+  let a, b = match members with [ a; b ] -> (a, b) | _ -> assert false in
+  let node gr = Addr.endpoint_id (Group.addr gr) in
+  let early = payloads 20 "early" in
+  List.iter
+    (fun p ->
+       Group.cast a p;
+       World.run_for world ~duration:0.01)
+    early;
+  World.run_for world ~duration:0.5;
+  Horus_sim.Net.partition (World.net world) [ [ node a ]; [ node b ] ];
+  List.iter (Group.cast a) (payloads 10 "late");
+  World.run_for world ~duration:0.01;
+  Horus_sim.Net.heal (World.net world);
+  World.run_for world ~duration:3.0;
+  Alcotest.(check (list string)) "early casts, then the buffered tail"
+    (early @ [ "late-007"; "late-008"; "late-009" ])
+    (Group.casts b);
+  Alcotest.(check int) "seven placeholders after the wrap" 7 (Group.lost_messages b)
+
 (* --- FRAG --- *)
 
 let test_frag_large_message () =
@@ -524,6 +553,8 @@ let () =
           Alcotest.test_case "sends reliable" `Quick test_nak_sends_reliable;
           Alcotest.test_case "placeholders -> LOST_MESSAGE" `Quick
             test_nak_placeholder_lost_message;
+          Alcotest.test_case "placeholders after the ring wraps" `Quick
+            test_nak_placeholders_after_wrap;
           Alcotest.test_case "PROBLEM on silence" `Quick test_nak_problem_on_silence;
           Alcotest.test_case "no false suspicion" `Quick test_nak_no_problem_when_alive ] );
       ( "frag",

@@ -267,6 +267,216 @@ let prop_msg_split_rejoin =
        Msg.to_string (Msg.concat [ head; tail ]) = s
        && (Msg.append head (Msg.to_bytes tail); Msg.to_string head = s))
 
+(* --- Seq_ring and Fifo against list/table models --- *)
+
+type ring_op = R_set of int * int | R_remove of int | R_drop_below of int | R_clear
+
+let ring_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (6, map2 (fun k v -> R_set (k, v)) (int_bound 40) small_nat);
+        (3, map (fun k -> R_remove k) (int_bound 40));
+        (2, map (fun k -> R_drop_below k) (int_bound 44));
+        (1, return R_clear) ])
+
+let pp_ring_op = function
+  | R_set (k, v) -> Printf.sprintf "set %d %d" k v
+  | R_remove k -> Printf.sprintf "remove %d" k
+  | R_drop_below k -> Printf.sprintf "drop_below %d" k
+  | R_clear -> "clear"
+
+let prop_seq_ring_model =
+  QCheck.Test.make ~name:"seq_ring: agrees with a sorted association list" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_ring_op ops))
+       QCheck.Gen.(list_size (1 -- 80) ring_op_gen))
+    (fun ops ->
+       let module R = Horus_util.Seq_ring in
+       let r = R.create ~dummy:(-1) in
+       let model = ref [] in
+       List.for_all
+         (fun op ->
+            (match op with
+             | R_set (k, v) ->
+               R.set r k v;
+               model := (k, v) :: List.remove_assoc k !model
+             | R_remove k ->
+               R.remove r k;
+               model := List.remove_assoc k !model
+             | R_drop_below f ->
+               R.drop_below r f;
+               model := List.filter (fun (k, _) -> k >= f) !model
+             | R_clear ->
+               R.clear r;
+               model := []);
+            let sorted = List.sort compare !model in
+            let held = ref [] in
+            R.iter (fun k v -> held := (k, v) :: !held) r;
+            List.rev !held = sorted
+            && R.length r = List.length sorted
+            && (sorted = [] || R.lowest r = fst (List.hd sorted))
+            && List.for_all
+                 (fun k ->
+                    R.mem r k = List.mem_assoc k sorted
+                    && (not (R.mem r k) || R.get r k = List.assoc k sorted))
+                 (List.init 45 Fun.id))
+         ops)
+
+let prop_fifo_model =
+  QCheck.Test.make ~name:"fifo: pops in push order across growth and wrap" ~count:300
+    QCheck.(list (option small_nat))
+    (fun ops ->
+       (* Some x pushes x, None pops (when non-empty). *)
+       let q = Horus_util.Fifo.create ~dummy:(-1) in
+       let model = Queue.create () in
+       List.for_all
+         (function
+           | Some x ->
+             Horus_util.Fifo.push q x;
+             Queue.push x model;
+             true
+           | None ->
+             Horus_util.Fifo.is_empty q = Queue.is_empty model
+             && (Queue.is_empty model || Horus_util.Fifo.pop q = Queue.pop model))
+         ops
+       &&
+       let rest = ref [] in
+       while not (Horus_util.Fifo.is_empty q) do
+         rest := Horus_util.Fifo.pop q :: !rest
+       done;
+       List.rev !rest = List.of_seq (Queue.to_seq model))
+
+(* --- Delivery_log against the tuple-keyed reference model ---
+
+   The model is the log as it was first written: hash tables keyed by
+   (origin, seq) for the store and the stash, and by origin for the
+   next expected numbers, with a stability GC that sweeps the whole
+   store. The ring-laned log must agree with it on every observable:
+   next_expected, vector, copies, size, ooo_pending and the order of
+   the deliveries. *)
+
+module Log_model = struct
+  type t = {
+    store : (int * int, string) Hashtbl.t;
+    delivered : (int, int) Hashtbl.t;
+    ooo : (int * int, int * string) Hashtbl.t;
+    mutable out : (int * string) list;  (* rank, payload; newest first *)
+  }
+
+  let create () =
+    { store = Hashtbl.create 8; delivered = Hashtbl.create 8; ooo = Hashtbl.create 8; out = [] }
+
+  let reset t =
+    Hashtbl.reset t.store;
+    Hashtbl.reset t.delivered;
+    Hashtbl.reset t.ooo
+
+  let next_expected t o = Option.value (Hashtbl.find_opt t.delivered o) ~default:0
+
+  let record t ~origin ~seq p = Hashtbl.replace t.store (origin, seq) p
+
+  let advance t ~origin ~seq ~payload =
+    Hashtbl.replace t.delivered origin (seq + 1);
+    record t ~origin ~seq payload
+
+  let rec accept t ~origin ~seq ~rank p =
+    let expected = next_expected t origin in
+    if seq < expected then ()
+    else if seq > expected then Hashtbl.replace t.ooo (origin, seq) (rank, p)
+    else begin
+      Hashtbl.replace t.delivered origin (expected + 1);
+      record t ~origin ~seq p;
+      t.out <- (rank, p) :: t.out;
+      match Hashtbl.find_opt t.ooo (origin, seq + 1) with
+      | Some (r, p') ->
+        Hashtbl.remove t.ooo (origin, seq + 1);
+        accept t ~origin ~seq:(seq + 1) ~rank:r p'
+      | None -> ()
+    end
+
+  let vector t = List.sort compare (Hashtbl.fold (fun o n acc -> (o, n) :: acc) t.delivered [])
+
+  let copies t =
+    List.sort compare (Hashtbl.fold (fun (o, s) p acc -> (o, s, p) :: acc) t.store [])
+
+  let gc t ~floor_of =
+    Hashtbl.iter
+      (fun (o, s) _ -> if s < floor_of o then Hashtbl.remove t.store (o, s))
+      (Hashtbl.copy t.store)
+end
+
+type log_op =
+  | L_record of int * int * string
+  | L_accept of int * int * int * string  (* origin, seq, rank, payload *)
+  | L_advance of int * string             (* at the origin's next expected seq *)
+  | L_gc of int array                     (* floor per origin *)
+  | L_reset
+
+let origins = 4
+
+let log_op_gen =
+  QCheck.Gen.(
+    let origin = int_bound (origins - 1) and seq = int_bound 24 in
+    let payload = map (fun i -> "p" ^ string_of_int i) small_nat in
+    frequency
+      [ (2, map3 (fun o s p -> L_record (o, s, p)) origin seq payload);
+        (8, map3 (fun (o, s) r p -> L_accept (o, s, r, p)) (pair origin seq) (int_bound 5) payload);
+        (1, map2 (fun o p -> L_advance (o, p)) origin payload);
+        (2, map (fun l -> L_gc (Array.of_list l)) (list_repeat origins (int_bound 28)));
+        (1, return L_reset) ])
+
+let pp_log_op = function
+  | L_record (o, s, p) -> Printf.sprintf "record o%d s%d %s" o s p
+  | L_accept (o, s, r, p) -> Printf.sprintf "accept o%d s%d r%d %s" o s r p
+  | L_advance (o, p) -> Printf.sprintf "advance o%d %s" o p
+  | L_gc fl ->
+    Printf.sprintf "gc [%s]" (String.concat "," (Array.to_list (Array.map string_of_int fl)))
+  | L_reset -> "reset"
+
+let prop_delivery_log_model =
+  QCheck.Test.make ~name:"delivery_log: agrees with the tuple-keyed model" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_log_op ops))
+       QCheck.Gen.(list_size (1 -- 120) log_op_gen))
+    (fun ops ->
+       let open Horus_layers in
+       let out = ref [] in
+       let log =
+         Delivery_log.create ~emit_up:(function
+           | Horus_hcpi.Event.U_cast (rank, m, _) ->
+             out := (rank, Horus_msg.Msg.to_string m) :: !out
+           | _ -> ())
+       in
+       let model = Log_model.create () in
+       List.for_all
+         (fun op ->
+            (match op with
+             | L_record (o, s, p) ->
+               Delivery_log.record log ~origin:o ~seq:s p;
+               Log_model.record model ~origin:o ~seq:s p
+             | L_accept (o, s, r, p) ->
+               Delivery_log.accept log ~origin:o ~seq:s ~rank:r (Horus_msg.Msg.create p) [];
+               Log_model.accept model ~origin:o ~seq:s ~rank:r p
+             | L_advance (o, p) ->
+               let s = Log_model.next_expected model o in
+               Delivery_log.advance log ~origin:o ~seq:s ~payload:p;
+               Log_model.advance model ~origin:o ~seq:s ~payload:p
+             | L_gc floors ->
+               Delivery_log.gc log ~floor_of:(fun o -> floors.(o));
+               Log_model.gc model ~floor_of:(fun o -> floors.(o))
+             | L_reset ->
+               Delivery_log.reset log;
+               Log_model.reset model);
+            List.for_all
+              (fun o -> Delivery_log.next_expected log o = Log_model.next_expected model o)
+              (List.init (origins + 1) Fun.id)
+            && Delivery_log.vector log = Log_model.vector model
+            && Delivery_log.copies log = Log_model.copies model
+            && Delivery_log.size log = Hashtbl.length model.Log_model.store
+            && Delivery_log.ooo_pending log = Hashtbl.length model.Log_model.ooo
+            && !out = model.Log_model.out)
+         ops)
+
 let () =
   Alcotest.run "quickcheck"
     [ ( "view",
@@ -290,4 +500,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_compact_find;
           QCheck_alcotest.to_alcotest prop_compact_bits_roundtrip ] );
       ( "msg",
-        [ QCheck_alcotest.to_alcotest prop_msg_split_rejoin ] ) ]
+        [ QCheck_alcotest.to_alcotest prop_msg_split_rejoin ] );
+      ( "rings",
+        [ QCheck_alcotest.to_alcotest prop_seq_ring_model;
+          QCheck_alcotest.to_alcotest prop_fifo_model ] );
+      ( "layers",
+        [ QCheck_alcotest.to_alcotest prop_delivery_log_model ] ) ]

@@ -67,6 +67,8 @@ let sim_attachment t =
   Horus_sim.Net.attach net ~node (fun ~src payload ->
       if Bytes.length payload >= 4 then begin
         let gid = Int32.to_int (Bytes.get_int32_be payload 0) in
+        (* A copy, not [Msg.adopt]: every destination shares the one
+           frame [a_xmit] sent. *)
         deliver t ~gid ~src (Msg.of_sub payload ~off:4 ~len:(Bytes.length payload - 4))
       end);
   { a_kind = "sim";

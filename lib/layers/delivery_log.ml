@@ -11,6 +11,10 @@
    array. Delivering a cast is then a ring store and an upcall, and a
    stability GC frees the entries below each lane's floor without
    looking at the rest: nothing scales with the size of the store.
+   The store keeps frozen aliases of the delivered messages
+   (Msg.freeze), not copies: whatever the application later does to a
+   delivered message, the alias's bytes stay as delivered, and they
+   become strings only when a flush asks for them.
    The store only ever holds the sequence numbers delivered (or, for
    our own casts, handed out) in order, so its ring spans no more than
    the unstable casts. The stash is keyed by whatever sequence number
@@ -27,7 +31,7 @@ type stashed = { st_rank : int; st_msg : Msg.t; st_meta : Event.meta }
 type lane = {
   origin : int;
   mutable next : int;                (* next expected seq; 0 until a delivery *)
-  store : string Ring.t;             (* seq -> payload, from the GC floor up *)
+  store : Msg.t Ring.t;              (* seq -> frozen payload, from the GC floor up *)
   stash : (int, stashed) Hashtbl.t;  (* seq -> early arrival, above [next] *)
 }
 
@@ -39,6 +43,9 @@ type t = {
 }
 
 let create ~emit_up = { emit_up; lanes = [||]; n = 0; stashed = 0 }
+
+(* Fills vacated store slots; never read or written. *)
+let vacant = Msg.adopt Bytes.empty ~off:0 ~len:0
 
 let reset t =
   t.lanes <- [||];
@@ -54,7 +61,7 @@ let lane t origin =
   let i = index_from t origin 0 in
   if i >= 0 then t.lanes.(i)
   else begin
-    let l = { origin; next = 0; store = Ring.create ~dummy:""; stash = Hashtbl.create 1 } in
+    let l = { origin; next = 0; store = Ring.create ~dummy:vacant; stash = Hashtbl.create 1 } in
     if t.n = Array.length t.lanes then begin
       let lanes = Array.make (Int.max 4 (2 * t.n)) l in
       Array.blit t.lanes 0 lanes 0 t.n;
@@ -65,7 +72,7 @@ let lane t origin =
     l
   end
 
-let record t ~origin ~seq payload = Ring.set (lane t origin).store seq payload
+let record t ~origin ~seq m = Ring.set (lane t origin).store seq (Msg.freeze m)
 
 let size t =
   let total = ref 0 in
@@ -85,13 +92,13 @@ let ooo_pending t = t.stashed
 let advance t ~origin ~seq ~payload =
   let l = lane t origin in
   l.next <- seq + 1;
-  Ring.set l.store seq payload
+  Ring.set l.store seq (Msg.freeze payload)
 
 (* Deliver [m], the lane's next expected cast, then whatever the stash
    holds right behind it. *)
 let rec deliver_run t l ~seq ~rank m meta =
   l.next <- seq + 1;
-  Ring.set l.store seq (Msg.to_string m);
+  Ring.set l.store seq (Msg.freeze m);
   t.emit_up (Event.U_cast (rank, m, meta));
   let seq = seq + 1 in
   if Hashtbl.length l.stash > 0 then
@@ -132,7 +139,7 @@ let fold_store f t acc =
 
 (* Every logged (unstable) message, sorted: the copies a member offers
    during a flush. *)
-let copies t = List.rev (fold_store (fun o s p acc -> (o, s, p) :: acc) t [])
+let copies t = List.rev (fold_store (fun o s p acc -> (o, s, Msg.to_string p) :: acc) t [])
 
 (* Each lane's floor is asked for once; only the entries below it are
    visited. *)
@@ -170,7 +177,7 @@ let pop_copies m =
 let cut_and_union ~own replies =
   let cut : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let everything : (int * int, string) Hashtbl.t = Hashtbl.create 64 in
-  fold_store (fun o s p () -> Hashtbl.replace everything (o, s) p) own ();
+  fold_store (fun o s p () -> Hashtbl.replace everything (o, s) (Msg.to_string p)) own ();
   List.iter
     (fun (vec, cs) ->
        List.iter

@@ -5,9 +5,11 @@
 
     State is kept per origin: the next expected sequence number, the
     store as a sequence-indexed ring from the stability floor up, and
-    a stash of early arrivals. Delivering an in-order cast allocates
-    only the logged payload copy and the upcall; {!gc} visits only the
-    entries it frees. *)
+    a stash of early arrivals. The store keeps frozen aliases of the
+    logged messages ({!Msg.freeze}), not copies: delivering an in-order
+    cast allocates only the alias and the upcall, and the payloads
+    become strings only when a flush asks ({!copies},
+    {!cut_and_union}). {!gc} visits only the entries it frees. *)
 
 open Horus_msg
 open Horus_hcpi
@@ -20,8 +22,9 @@ val create : emit_up:(Event.up -> unit) -> t
 val reset : t -> unit
 (** Forget everything — a new view. *)
 
-val record : t -> origin:int -> seq:int -> string -> unit
-(** Log a payload (add or replace). *)
+val record : t -> origin:int -> seq:int -> Msg.t -> unit
+(** Log a message's live bytes (add or replace), as a frozen alias:
+    later writes to the message do not reach the log. *)
 
 val size : t -> int
 (** Logged payloads, over all origins. *)
@@ -31,10 +34,10 @@ val next_expected : t -> int -> int
 val ooo_pending : t -> int
 (** Messages stashed ahead of sequence, over all origins. *)
 
-val advance : t -> origin:int -> seq:int -> payload:string -> unit
+val advance : t -> origin:int -> seq:int -> payload:Msg.t -> unit
 (** {!accept}'s in-order branch with an empty stash: advance the
-    origin's lane past [seq] and log [payload] — the fused-delivery
-    commit. *)
+    origin's lane past [seq] and log [payload]'s live bytes, as
+    {!record} does — the fused-delivery commit. *)
 
 val accept : t -> origin:int -> seq:int -> rank:int -> Msg.t -> Event.meta -> unit
 (** Deliver in per-origin sequence as [U_cast (rank, m, meta)],

@@ -165,7 +165,7 @@ let create (_ : Params.t) env =
     match ev with
     | Event.D_cast m ->
       Msg.push_u32 m t.next_seq;
-      Delivery_log.record t.log ~origin:(my_eid t) ~seq:t.next_seq (Msg.to_string m);
+      Delivery_log.record t.log ~origin:(my_eid t) ~seq:t.next_seq m;
       (* Our own copy is delivered back via loopback like anyone
          else's; pre-recording it here keeps it recoverable even if the
          loopback is still in flight when a flush starts. *)

@@ -74,7 +74,9 @@ let create params env =
     match ev with
     | Event.D_cast m -> fragment t m ~send:cast_down
     | Event.D_send (dsts, m) ->
-      fragment t m ~send:(fun f -> env.Layer.emit_down (Event.D_send (dsts, Msg.copy f)))
+      (* No copy here: a fragment is already fresh from [of_sub], and
+         NAK copies a send once per destination. *)
+      fragment t m ~send:(fun f -> env.Layer.emit_down (Event.D_send (dsts, f)))
     | Event.D_view _ ->
       (* New destination set: no cross-view reassembly. *)
       Hashtbl.reset t.cast_partial;

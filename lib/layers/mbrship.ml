@@ -288,7 +288,7 @@ let adopt_view t v =
       let m = Queue.pop t.pending_casts in
       let seq = t.next_seq in
       t.next_seq <- seq + 1;
-      Delivery_log.record t.log ~origin:(my_eid t) ~seq (Msg.to_string m);
+      Delivery_log.record t.log ~origin:(my_eid t) ~seq m;
       Msg.push_u32 m seq;
       Msg.push_u8 m k_data;
       t.env.Layer.emit_down (Event.D_cast m);
@@ -859,7 +859,7 @@ let handle_down t (ev : Event.down) =
     else begin
       let seq = t.next_seq in
       t.next_seq <- seq + 1;
-      Delivery_log.record t.log ~origin:(my_eid t) ~seq (Msg.to_string m);
+      Delivery_log.record t.log ~origin:(my_eid t) ~seq m;
       Msg.push_u32 m seq;
       Msg.push_u8 m k_data;
       t.env.Layer.emit_down (Event.D_cast m)
@@ -1021,7 +1021,7 @@ let make ~name ~forward_unstable_default params env =
             (fun seg ->
                let seq = t.next_seq in
                t.next_seq <- seq + 1;
-               Delivery_log.record t.log ~origin:(my_eid t) ~seq (Seg.contents seg);
+               Delivery_log.record t.log ~origin:(my_eid t) ~seq (Seg.to_msg seg);
                Seg.push_u32 seg seq;
                Seg.push_u8 seg k_data);
           fp_deliver_check =
@@ -1044,8 +1044,10 @@ let make ~name ~forward_unstable_default params env =
           fp_deliver_commit =
             (fun ~rank:_ ~meta:_ m ->
                heard_from t !chk_origin;
-               Delivery_log.advance t.log ~origin:!chk_origin ~seq:!chk_seq
-                 ~payload:(Msg.to_string_at m !chk_pos)) });
+               let here = Msg.mark m in
+               Msg.restore m !chk_pos;
+               Delivery_log.advance t.log ~origin:!chk_origin ~seq:!chk_seq ~payload:m;
+               Msg.restore m here) });
   { Layer.name;
     handle_down = handle_down t;
     handle_up = handle_up t;

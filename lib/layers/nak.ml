@@ -20,10 +20,13 @@
    memory hostage.
 
    Representation. The own-cast retransmission buffer is a ring indexed
-   by sequence number (Horus_util.Seq_ring), holding the framed copies
-   from the acknowledged floor up to the next sequence number: logging
-   a cast is a store, and status-driven GC and the buffer_limit
-   eviction touch only the entries they free. A data cast that arrives
+   by sequence number (Horus_util.Seq_ring), holding the sent casts
+   from the acknowledged floor up to the next sequence number as
+   frozen aliases (Msg.freeze), not copies: logging a cast is a store,
+   and status-driven GC and the buffer_limit eviction touch only the
+   entries they free. The pair lanes keep their unacked sends the same
+   way. A retransmission copies the alias, since the layers below push
+   onto what they are handed. A data cast that arrives
    exactly in sequence with nothing stashed is delivered straight
    through; only arrivals ahead of a gap go into the per-origin stash.
    Liveness timestamps live in unboxed float fields, so hearing from a
@@ -123,7 +126,7 @@ type clock = { mutable at : float }
 (* One unacknowledged pair message awaiting its retransmission
    deadline. *)
 type unacked = {
-  u_msg : Msg.t;                    (* framed copy *)
+  u_msg : Msg.t;                    (* frozen alias of the sent message *)
   u_sent_at : float;                (* first transmission, for RTT sampling *)
   mutable u_attempts : int;         (* retransmissions so far *)
   mutable u_due : float;            (* next retransmission deadline *)
@@ -370,7 +373,9 @@ let gc_cast_buffer t =
   done;
   if !min_acked < max_int then Horus_util.Seq_ring.drop_below t.cast_buffer (!min_acked + 1)
 
-(* Log a framed copy of my cast [seq] for retransmission. Bounded
+(* Log my cast [seq] for retransmission: [framed] is a frozen alias
+   of the message as sent, NAK header included, which no later write
+   to the sent message can reach (Msg.freeze). Bounded
    buffering (the paper: "buffers some messages ... will retransmit if
    the message is still buffered. If not, it will send a place
    holder"): beyond the limit the oldest copy is forgotten. *)
@@ -522,7 +527,7 @@ let handle_down t (ev : Event.down) =
     Msg.push_u32 m seq;
     Msg.push_u32 m t.epoch;
     Msg.push_u8 m k_data_cast;
-    buffer_cast t seq (Msg.copy m);
+    buffer_cast t seq (Msg.freeze m);
     t.env.Layer.emit_down (Event.D_cast m)
   | Event.D_send (dsts, m) ->
     (* Fan a subset send out into per-pair sequenced unicasts. *)
@@ -543,7 +548,7 @@ let handle_down t (ev : Event.down) =
            Msg.push_u8 body k_data_send;
            let tnow = now t in
            Hashtbl.replace lane.pl_unacked seq
-             { u_msg = Msg.copy body; u_sent_at = tnow; u_attempts = 0;
+             { u_msg = Msg.freeze body; u_sent_at = tnow; u_attempts = 0;
                u_due = next_deadline t ~attempt:0; u_last_tx = tnow };
            (* Bounded in-flight window: an unreachable peer must not
               grow the lane without limit. Evicted messages are simply

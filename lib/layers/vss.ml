@@ -103,7 +103,7 @@ let create (_ : Params.t) env =
     match ev with
     | Event.D_cast m ->
       Msg.push_u32 m t.next_seq;
-      Delivery_log.record t.log ~origin:(my_eid t) ~seq:t.next_seq (Msg.to_string m);
+      Delivery_log.record t.log ~origin:(my_eid t) ~seq:t.next_seq m;
       t.next_seq <- t.next_seq + 1;
       Msg.push_u8 m k_data;
       env.Layer.emit_down (Event.D_cast m)

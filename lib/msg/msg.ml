@@ -6,15 +6,28 @@
    popping reads at [off] and advances it. No data is copied on a
    push/pop, only on headroom growth.
 
+   Ownership. A buffer may be shared: [adopt] takes a received
+   datagram's bytes as they are, and [freeze] hands out a read-only
+   alias of a message's live bytes instead of a copy (a
+   retransmission ring, an unstable store). Every alias reads at or
+   above the pin of the message it was taken from, so a write to that
+   message whose range ends at or below its pin lands in headroom no
+   alias reads — COM's envelope pushed under NAK's pinned header —
+   and any other write first moves the message to a private copy of
+   its buffer. An alias's own pin is 0: any write to it moves it.
+
    All multi-byte fields are big-endian. *)
 
 type t = {
   mutable buf : Bytes.t;
   mutable off : int;  (* start of live bytes *)
   mutable len : int;  (* number of live bytes *)
+  mutable pin : int;  (* lowest byte an alias may read; [unpinned] if none *)
 }
 
 let default_headroom = 64
+
+let unpinned = max_int
 
 exception Truncated of string
 
@@ -22,13 +35,19 @@ let create ?(headroom = default_headroom) payload =
   let plen = String.length payload in
   let buf = Bytes.create (headroom + plen) in
   Bytes.blit_string payload 0 buf headroom plen;
-  { buf; off = headroom; len = plen }
+  { buf; off = headroom; len = plen; pin = unpinned }
 
 let of_sub ?(headroom = default_headroom) b ~off ~len =
   if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Msg.of_sub";
   let buf = Bytes.create (headroom + len) in
   Bytes.blit b off buf headroom len;
-  { buf; off = headroom; len }
+  { buf; off = headroom; len; pin = unpinned }
+
+(* No copy: the caller hands [b] over. The bytes before [off] (a
+   datagram's spent frame header) become headroom. *)
+let adopt b ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Msg.adopt";
+  { buf = b; off; len; pin = unpinned }
 
 let of_bytes ?headroom b = of_sub ?headroom b ~off:0 ~len:(Bytes.length b)
 
@@ -40,14 +59,30 @@ let length t = t.len
    position marked before pops still restores on the copy); slack past
    the live bytes, left by [append]'s growth or a shortening [restore],
    is not copied. *)
-let copy t = { buf = Bytes.sub t.buf 0 (t.off + t.len); off = t.off; len = t.len }
+let copy t =
+  { buf = Bytes.sub t.buf 0 (t.off + t.len); off = t.off; len = t.len; pin = unpinned }
+
+(* An alias of the live bytes; [t] is pinned at its offset (the lowest
+   pin wins when frozen twice), the alias at 0. *)
+let freeze t =
+  if t.off < t.pin then t.pin <- t.off;
+  { buf = t.buf; off = t.off; len = t.len; pin = 0 }
+
+(* Move [t] to a private copy of its whole buffer before a write that
+   would reach bytes an alias reads. The copy keeps every offset, so
+   positions and capacity are as if the buffer had never been
+   shared. *)
+let unshare t =
+  t.buf <- Bytes.copy t.buf;
+  t.pin <- unpinned
 
 let to_string t = Bytes.sub_string t.buf t.off t.len
 
 let to_bytes t = Bytes.sub t.buf t.off t.len
 
-(* Ensure at least [n] bytes of headroom before [off]. Doubles the
-   headroom when growing so that repeated pushes amortize. *)
+(* Ensure at least [n] bytes of writable headroom before [off].
+   Doubles the headroom when growing so that repeated pushes amortize;
+   a push ending above the pin moves the buffer first. *)
 let reserve t n =
   if t.off < n then begin
     let need = n - t.off in
@@ -55,8 +90,10 @@ let reserve t n =
     let buf = Bytes.create (Bytes.length t.buf + grow) in
     Bytes.blit t.buf t.off buf (t.off + grow) t.len;
     t.buf <- buf;
-    t.off <- t.off + grow
+    t.off <- t.off + grow;
+    t.pin <- unpinned
   end
+  else if t.off > t.pin then unshare t
 
 let check_pop t n what = if t.len < n then raise (Truncated what)
 
@@ -150,17 +187,20 @@ let concat parts =
        Bytes.blit p.buf p.off buf !pos p.len;
        pos := !pos + p.len)
     parts;
-  { buf; off = default_headroom; len = total }
+  { buf; off = default_headroom; len = total; pin = unpinned }
 
 let append t b =
-  (* Append raw bytes at the tail. Grows the tail as needed. *)
+  (* Append raw bytes at the tail. Grows the tail as needed; a pinned
+     message moves first. *)
   let n = Bytes.length b in
   let cap = Bytes.length t.buf - (t.off + t.len) in
   if cap < n then begin
     let buf = Bytes.create (t.off + t.len + Int.max n (t.len + default_headroom)) in
     Bytes.blit t.buf t.off buf t.off t.len;
-    t.buf <- buf
-  end;
+    t.buf <- buf;
+    t.pin <- unpinned
+  end
+  else if t.off + t.len + n > t.pin then unshare t;
   Bytes.blit b 0 t.buf (t.off + t.len) n;
   t.len <- t.len + n
 
@@ -172,7 +212,8 @@ let replace t b =
   Bytes.blit b 0 buf default_headroom n;
   t.buf <- buf;
   t.off <- default_headroom;
-  t.len <- n
+  t.len <- n;
+  t.pin <- unpinned
 
 (* --- positions, for speculative parsing ---
 
@@ -192,14 +233,6 @@ let restore t (off, len) =
     invalid_arg "Msg.restore";
   t.off <- off;
   t.len <- len
-
-(* The live bytes as of a saved position, without moving the message —
-   how a layer snapshots "the message as I saw it" during a check
-   phase whose later stages keep popping. *)
-let to_string_at t (off, len) =
-  if off < 0 || len < 0 || off + len > Bytes.length t.buf then
-    invalid_arg "Msg.to_string_at";
-  Bytes.sub_string t.buf off len
 
 (* Aliasing read view (buffer, offset, length) of the live bytes. The
    segment-list message uses it to reference a payload without

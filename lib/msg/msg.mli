@@ -2,7 +2,18 @@
 
     A byte buffer with headroom at the front. Layers push headers going
     down the stack and pop them coming up, like a stack. Multi-byte
-    fields are big-endian. *)
+    fields are big-endian.
+
+    {b Ownership.} A message's buffer may be shared with read-only
+    aliases ({!freeze}) and may be a buffer handed over by its owner
+    ({!adopt}). Pops never write. A push, {!push_string} or {!append}
+    that would write at or above the pin of a message — the lowest
+    offset at which any alias of it was taken — first moves the
+    message to a private copy of its buffer; a push that ends at or
+    below the pin writes only headroom, which no alias reads. An alias
+    is pinned at 0, so any write to it moves it first. {!replace},
+    {!concat}, {!copy}, {!of_sub} and {!create} always produce an
+    unshared buffer. *)
 
 type t
 
@@ -12,6 +23,14 @@ exception Truncated of string
 
 val create : ?headroom:int -> string -> t
 (** [create payload] makes a message whose live bytes are [payload]. *)
+
+val adopt : Bytes.t -> off:int -> len:int -> t
+(** [adopt b ~off ~len] makes a message {i of} bytes [off .. off + len)
+    of [b], with no copy: the caller hands [b] over and must neither
+    read nor write it afterwards. The bytes before [off] (a received
+    datagram's spent frame header) become headroom; a push that needs
+    more grows the buffer as usual. Raises [Invalid_argument] if the
+    range is not inside [b]. *)
 
 val of_bytes : ?headroom:int -> Bytes.t -> t
 
@@ -29,6 +48,14 @@ val copy : t -> t
 (** An independent copy of the buffer up to the end of the live bytes
     (headroom included, so a {!mark} taken before pops still restores
     on the copy); any slack past the live bytes is not copied. *)
+
+val freeze : t -> t
+(** [freeze m] is a read-only alias of [m]'s live bytes, in place of a
+    copy: what a retransmission ring or an unstable store keeps of a
+    message that travels on. It pins [m] at its current offset (the
+    lowest pin is kept when [m] is frozen more than once), so the
+    alias's bytes never change whatever is later done to [m]; a write
+    to the alias itself moves the alias to a fresh buffer first. *)
 
 val to_string : t -> string
 (** Copy of the live bytes. *)
@@ -71,13 +98,10 @@ val mark : t -> pos
 val restore : t -> pos -> unit
 (** Undo the pops performed since [mark]. *)
 
-val to_string_at : t -> pos -> string
-(** The live bytes as of a saved position, without moving the
-    message. *)
-
 val view : t -> Bytes.t * int * int
 (** Aliasing (buffer, offset, length) view of the live bytes; no copy.
-    Invalidated by any mutation of the message. *)
+    Read only — the buffer may be shared with aliases. Invalidated by
+    any mutation of the message. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

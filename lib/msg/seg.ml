@@ -83,9 +83,9 @@ let to_wire t =
     t.segs;
   b
 
-let contents t = Bytes.unsafe_to_string (to_wire t)
-
-let to_msg t = Msg.of_bytes (to_wire t)
+let to_msg t =
+  let b = to_wire t in
+  Msg.adopt b ~off:0 ~len:(Bytes.length b)
 
 let dispose t =
   if not t.disposed then begin

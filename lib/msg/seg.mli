@@ -24,13 +24,9 @@ val push_bool : t -> bool -> unit
     {!Msg} pushes. A header stack that outgrows the pooled block
     spills into a private larger buffer, so pushes never fail. *)
 
-val contents : t -> string
-(** Headers and body gathered into one fresh string (the wire
-    image). *)
-
 val to_msg : t -> Msg.t
-(** A flat {!Msg} (with default headroom) holding the gathered
-    bytes. *)
+(** A flat {!Msg} that adopts the gathered bytes: one copy, no
+    headroom (a push grows it). *)
 
 val dispose : t -> unit
 (** Return the header block to the pool. Idempotent; the segment must

@@ -53,7 +53,8 @@ type t = {
   local_addr : string;     (* this backend's own address, in its scheme *)
   mtu : int;               (* largest datagram the backend will carry *)
   send : dest:string -> Bytes.t -> unit;
-  set_rx : rx -> unit;     (* install the receive callback (one at a time) *)
+  set_rx : rx -> unit;     (* install the receive callback (one at a time);
+                              it owns the bytes it is handed *)
   fd : Unix.file_descr option;  (* readiness handle for select-based drivers *)
   poll : unit -> int;      (* drain ready datagrams into rx; count drained *)
   close : unit -> unit;

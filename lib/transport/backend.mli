@@ -19,7 +19,15 @@ val fresh_stats : unit -> stats
 
 type rx = src:string -> Bytes.t -> unit
 (** Receive callback; [src] is the sender's address in the backend's
-    own scheme (a UDP [host:port], a loopback [mem:N]). *)
+    own scheme (a UDP [host:port], a loopback [mem:N]). The bytes
+    belong to the callee from then on: the backend keeps no reference,
+    no other callback ever sees them, and they are not the sender's
+    buffer, so the callee may keep them or write them in place. Every
+    backend meets this with one copy per delivery: {!Udp} hands over
+    an exact-size [Bytes.sub] of its receive buffer (never the buffer
+    itself, nor a slot of its batched ring), {!Loopback} copies on
+    ingestion and [Shard.bypass] at the post. {!Chaos} wraps only the
+    sends, so its deliveries are the wrapped backend's. *)
 
 type rx_view = src:string -> buf:Bytes.t -> off:int -> len:int -> unit
 (** Zero-copy receive: the datagram is [len] bytes of [buf] starting
@@ -55,7 +63,9 @@ type t = {
           {!Chaos} parks them to reorder) but alters only its own copy
           ({!Chaos} corrupts a copy; {!Loopback} and {!Shard} copy on
           ingestion). *)
-  set_rx : rx -> unit;     (** install the receive callback (one at a time) *)
+  set_rx : rx -> unit;
+      (** Install the receive callback (one at a time); it owns the
+          bytes it is handed (see {!rx}). *)
   fd : Unix.file_descr option;
       (** readiness handle for select-based drivers; [None] for
           in-process backends whose delivery rides the event engine *)

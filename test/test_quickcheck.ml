@@ -267,6 +267,104 @@ let prop_msg_split_rejoin =
        Msg.to_string (Msg.concat [ head; tail ]) = s
        && (Msg.append head (Msg.to_bytes tail); Msg.to_string head = s))
 
+(* --- Msg aliases against a copy-based model --- *)
+
+(* The same operations run on a message with up to two frozen aliases
+   and on a model in which every alias is an independent copy. Any
+   write must move whichever buffer it would share, so every live byte
+   agrees with the model after every step: no alias sees a write to
+   the original or to another alias, and a write to an alias leaves
+   the original untouched. *)
+type alias_op =
+  | A_freeze                 (* the original grows an alias (at most two) *)
+  | A_push8 of int * int     (* target (0 = original, i = i-th alias), value *)
+  | A_push32 of int * int
+  | A_push_string of int * string
+  | A_pop8 of int
+  | A_append of int * string
+  | A_replace of int * string
+  | A_mark of int
+  | A_restore of int         (* back to the target's mark, over pops only *)
+
+let alias_op_gen =
+  QCheck.Gen.(
+    let tgt = int_bound 2 and str = string_size ~gen:printable (0 -- 12) in
+    frequency
+      [ (2, return A_freeze);
+        (3, map2 (fun t v -> A_push8 (t, v)) tgt (int_bound 255));
+        (2, map2 (fun t v -> A_push32 (t, v)) tgt (int_bound 0xffffff));
+        (1, map2 (fun t x -> A_push_string (t, x)) tgt str);
+        (4, map (fun t -> A_pop8 t) tgt);
+        (2, map2 (fun t x -> A_append (t, x)) tgt str);
+        (1, map2 (fun t x -> A_replace (t, x)) tgt str);
+        (2, map (fun t -> A_mark t) tgt);
+        (2, map (fun t -> A_restore t) tgt) ])
+
+let pp_alias_op = function
+  | A_freeze -> "freeze"
+  | A_push8 (t, v) -> Printf.sprintf "push8 #%d %d" t v
+  | A_push32 (t, v) -> Printf.sprintf "push32 #%d %d" t v
+  | A_push_string (t, x) -> Printf.sprintf "push_string #%d %S" t x
+  | A_pop8 t -> Printf.sprintf "pop8 #%d" t
+  | A_append (t, x) -> Printf.sprintf "append #%d %S" t x
+  | A_replace (t, x) -> Printf.sprintf "replace #%d %S" t x
+  | A_mark t -> Printf.sprintf "mark #%d" t
+  | A_restore t -> Printf.sprintf "restore #%d" t
+
+let prop_msg_aliases_model =
+  QCheck.Test.make ~name:"msg: frozen aliases agree with a copy-based model" ~count:1000
+    (QCheck.make
+       ~print:(fun (s, ops) -> Printf.sprintf "%S: %s" s (String.concat "; " (List.map pp_alias_op ops)))
+       QCheck.Gen.(pair (string_size (0 -- 40)) (list_size (1 -- 60) alias_op_gen)))
+    (fun (s, ops) ->
+       let open Horus_msg in
+       (* Slot 0 is the original; slots 1 and 2 its aliases. Each slot is
+          (real, model, mark) — a mark is dropped by any write, so a
+          restore only ever undoes pops. *)
+       let real = Array.make 3 (Msg.create s) and model = Array.make 3 (Msg.create s) in
+       let marks = Array.make 3 None and n = ref 1 in
+       let slot t = if t < !n then t else 0 in
+       let write t f =
+         marks.(t) <- None;
+         f real.(t);
+         f model.(t)
+       in
+       let step = function
+         | A_freeze ->
+           if !n < 3 then begin
+             real.(!n) <- Msg.freeze real.(0);
+             model.(!n) <- Msg.copy model.(0);
+             incr n
+           end;
+           true
+         | A_push8 (t, v) -> write (slot t) (fun m -> Msg.push_u8 m v); true
+         | A_push32 (t, v) -> write (slot t) (fun m -> Msg.push_u32 m v); true
+         | A_push_string (t, x) -> write (slot t) (fun m -> Msg.push_string m x); true
+         | A_append (t, x) -> write (slot t) (fun m -> Msg.append m (Bytes.of_string x)); true
+         | A_replace (t, x) -> write (slot t) (fun m -> Msg.replace m (Bytes.of_string x)); true
+         | A_pop8 t ->
+           let t = slot t in
+           if Msg.length real.(t) = 0 then true
+           else Msg.pop_u8 real.(t) = Msg.pop_u8 model.(t)
+         | A_mark t ->
+           let t = slot t in
+           marks.(t) <- Some (Msg.mark real.(t), Msg.mark model.(t));
+           true
+         | A_restore t ->
+           let t = slot t in
+           (match marks.(t) with
+            | Some (r, m) -> Msg.restore real.(t) r; Msg.restore model.(t) m
+            | None -> ());
+           true
+       in
+       List.for_all
+         (fun op ->
+            step op
+            && List.for_all
+                 (fun i -> Msg.to_string real.(i) = Msg.to_string model.(i))
+                 (List.init !n Fun.id))
+         ops)
+
 (* --- Seq_ring and Fifo against list/table models --- *)
 
 type ring_op = R_set of int * int | R_remove of int | R_drop_below of int | R_clear
@@ -441,10 +539,14 @@ let prop_delivery_log_model =
     (fun ops ->
        let open Horus_layers in
        let out = ref [] in
+       (* The receiver writes to every message it is handed, as an
+          application may: the log's copies must not change. *)
        let log =
          Delivery_log.create ~emit_up:(function
            | Horus_hcpi.Event.U_cast (rank, m, _) ->
-             out := (rank, Horus_msg.Msg.to_string m) :: !out
+             out := (rank, Horus_msg.Msg.to_string m) :: !out;
+             Horus_msg.Msg.push_u32 m 0xdeadbeef;
+             Horus_msg.Msg.append m (Bytes.of_string "junk")
            | _ -> ())
        in
        let model = Log_model.create () in
@@ -452,14 +554,14 @@ let prop_delivery_log_model =
          (fun op ->
             (match op with
              | L_record (o, s, p) ->
-               Delivery_log.record log ~origin:o ~seq:s p;
+               Delivery_log.record log ~origin:o ~seq:s (Horus_msg.Msg.create p);
                Log_model.record model ~origin:o ~seq:s p
              | L_accept (o, s, r, p) ->
                Delivery_log.accept log ~origin:o ~seq:s ~rank:r (Horus_msg.Msg.create p) [];
                Log_model.accept model ~origin:o ~seq:s ~rank:r p
              | L_advance (o, p) ->
                let s = Log_model.next_expected model o in
-               Delivery_log.advance log ~origin:o ~seq:s ~payload:p;
+               Delivery_log.advance log ~origin:o ~seq:s ~payload:(Horus_msg.Msg.create p);
                Log_model.advance model ~origin:o ~seq:s ~payload:p
              | L_gc floors ->
                Delivery_log.gc log ~floor_of:(fun o -> floors.(o));
@@ -500,7 +602,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_compact_find;
           QCheck_alcotest.to_alcotest prop_compact_bits_roundtrip ] );
       ( "msg",
-        [ QCheck_alcotest.to_alcotest prop_msg_split_rejoin ] );
+        [ QCheck_alcotest.to_alcotest prop_msg_split_rejoin;
+          QCheck_alcotest.to_alcotest prop_msg_aliases_model ] );
       ( "rings",
         [ QCheck_alcotest.to_alcotest prop_seq_ring_model;
           QCheck_alcotest.to_alcotest prop_fifo_model ] );

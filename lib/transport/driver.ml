@@ -95,7 +95,7 @@ let wait_readable t wait =
        0-timeout busy spin. *)
     let ms = max 1 (int_of_float (Float.ceil (wait *. 1000.0))) in
     match Sysops.poll_in t.fds ~timeout_ms:ms with
-    | Sysops.Got _ | Sysops.Would_block | Sysops.Os_error -> ()
+    | Sysops.Got _ | Sysops.Would_block | Sysops.Refused | Sysops.Os_error -> ()
     | Sysops.Unsupported ->
       (match Unix.select (Array.to_list t.fds) [] [] wait with
        | _ -> ()

@@ -1,12 +1,40 @@
-(** Batched datagram syscalls ([recvmmsg]/[sendmmsg]) and a poll(2)
-    wait, via small C stubs with a sticky unsupported-latch: the first
-    ENOSYS (or a non-Linux build) permanently flips the caller to its
-    portable scalar/select fallback. *)
+(** Datagram syscalls, scalar ([sendto]/[recvfrom]) and batched
+    ([sendmmsg]/[recvmmsg]), and a poll(2) wait, via small C stubs.
+    The batched calls and the wait have a sticky unsupported-latch: the
+    first ENOSYS (or a non-Linux build) permanently flips the caller to
+    its portable scalar/select fallback. *)
+
+(** {2 Scalar calls}
+
+    Both return a byte count ([>= 0]) or a negative code: {!would_block},
+    {!refused}, or another negative number for any other OS error. They
+    move bytes straight between the socket and the OCaml buffer, and
+    allocate nothing; they raise only [Invalid_argument], on a [len]
+    outside the buffer or a [src] shorter than two. *)
+
+val would_block : int
+(** Nothing to do right now (EAGAIN, EWOULDBLOCK, EINTR). *)
+
+val refused : int
+(** ECONNREFUSED: the kernel reporting an earlier send's ICMP
+    port-unreachable. The socket is still usable. *)
+
+val sendto : Unix.file_descr -> Bytes.t -> len:int -> ip:int -> port:int -> int
+(** Send the first [len] bytes of the buffer to host-order IPv4 [ip]
+    and [port]. *)
+
+val recvfrom : Unix.file_descr -> Bytes.t -> src:int array -> int
+(** Receive one datagram into the buffer (truncated to its length).
+    On success [src.(0)] is the host-order IPv4 source and [src.(1)]
+    the source port; [src] must have at least two elements. *)
+
+(** {2 Batched calls and poll} *)
 
 type result =
   | Got of int       (** datagrams moved / fds ready *)
   | Would_block      (** nothing to do right now *)
   | Unsupported      (** latched off; use the fallback from now on *)
+  | Refused          (** ECONNREFUSED: an earlier send's ICMP error *)
   | Os_error         (** other OS error; charge an error counter *)
 
 val recvmmsg :

@@ -11,17 +11,30 @@
    backends at once; poll drains every datagram the kernel has ready
    and hands each to the rx callback with the sender's address.
 
-   With [batch > 0] the backend moves datagrams through the kernel in
-   batches (recvmmsg/sendmmsg via udp_stubs.c, one syscall per batch):
-   sends stage into a tx ring by reference and go out on the next
+   Every syscall goes through udp_stubs.c (via Sysops), not the Unix
+   library's stubs: the kernel reads a send straight out of the
+   payload's bytes and writes a receive straight into the backend's
+   buffer, with no staging copy through a C stack buffer, and the
+   source address comes back as an IPv4 int and port, so receiving
+   allocates nothing but the datagram handed up. Only IPv4 is spoken;
+   a destination of another family counts as a send error, as the
+   kernel's EAFNOSUPPORT on this PF_INET socket would.
+
+   With [batch = 0] (the default) each datagram takes one sendto or
+   recvfrom. With [batch > 0] the backend moves datagrams through the
+   kernel in batches (recvmmsg/sendmmsg, one syscall per batch): sends
+   stage into a tx ring by reference and go out on the next
    [Backend.flush] (drivers flush once per pump) or when the ring
    fills; receives drain into a reusable rx buffer ring, handed to an
    installed [rx_view] as views (no per-datagram allocation) or to the
    plain rx callback as exact-size copies. When the stubs report
    Unsupported (non-Linux, ENOSYS) every path falls back to the scalar
-   sendto/recvfrom loop — behaviourally identical, just slower. With
-   [batch = 0] (the default) the backend is byte-for-byte the scalar
-   one. *)
+   sendto/recvfrom loop — behaviourally identical, just slower.
+
+   Errors never escape a call. Full socket buffers count as drops.
+   ECONNREFUSED (a previous send's ICMP error, reported on a later
+   call) counts as a send error, and a drain goes on past it; any other
+   error counts as a send error and ends that drain or flush. *)
 
 let parse_addr s =
   match String.rindex_opt s ':' with
@@ -46,9 +59,8 @@ let string_of_sockaddr = function
 (* Practical ceiling for a UDP payload over IPv4 (65535 - 20 IP - 8 UDP). *)
 let max_datagram = 65_507
 
-(* Host-order IPv4 int of an inet_addr, for the mmsg address arrays;
-   None for anything that is not a dotted quad (IPv6 destinations take
-   the scalar path). *)
+(* Host-order IPv4 int of an inet_addr, as the stubs take it; None for
+   anything that is not a dotted quad (an IPv6 destination). *)
 let ipv4_int a =
   match String.split_on_char '.' (Unix.string_of_inet_addr a) with
   | [ x; y; z; w ] ->
@@ -65,6 +77,12 @@ let ipv4_int a =
    not grow them without limit. Past the cap the cache is reset — the
    live peer set re-populates it within one round of traffic. *)
 let cache_limit = 512
+
+(* A destination as the send path needs it. *)
+type dest =
+  | Ipv4 of int * int  (* host-order address, port *)
+  | Other_family       (* parsed, but not IPv4 *)
+  | Malformed
 
 let create ?(batch = 0) ~bind () =
   if batch < 0 then invalid_arg "Udp.create: batch must be >= 0";
@@ -93,33 +111,27 @@ let create ?(batch = 0) ~bind () =
   let rx = ref None in
   let closed = ref false in
   (* Destination parses are cached (the send path is hot), bounded (the
-     peer set may churn). Each entry carries the pre-split IPv4 int and
-     port alongside the sockaddr so the batched path never re-parses. *)
-  let dests : (string, (Unix.sockaddr * (int * int) option) option) Hashtbl.t =
-    Hashtbl.create 8
-  in
+     peer set may churn). *)
+  let dests : (string, dest) Hashtbl.t = Hashtbl.create 8 in
   let resolve dest =
     match Hashtbl.find_opt dests dest with
     | Some r -> r
     | None ->
       let r =
         match parse_addr dest with
-        | Ok (Unix.ADDR_INET (a, p) as sa) ->
-          Some (sa, Option.map (fun ip -> (ip, p)) (ipv4_int a))
-        | Ok sa -> Some (sa, None)
-        | Error _ -> None
+        | Ok (Unix.ADDR_INET (a, p)) ->
+          (match ipv4_int a with Some ip -> Ipv4 (ip, p) | None -> Other_family)
+        | Ok (Unix.ADDR_UNIX _) -> Other_family
+        | Error _ -> Malformed
       in
       if Hashtbl.length dests >= cache_limit then Hashtbl.reset dests;
       Hashtbl.replace dests dest r;
       r
   in
-  let send_scalar to_ payload =
-    match Unix.sendto fd payload 0 (Bytes.length payload) [] to_ with
-    | _ -> ()
-    | exception Unix.Unix_error ((EWOULDBLOCK | EAGAIN), _, _) ->
-      stats.Backend.dropped <- stats.Backend.dropped + 1
-    | exception Unix.Unix_error (_, _, _) ->
-      stats.Backend.send_errors <- stats.Backend.send_errors + 1
+  let send_scalar ~ip ~port payload =
+    let r = Sysops.sendto fd payload ~len:(Bytes.length payload) ~ip ~port in
+    if r = Sysops.would_block then stats.Backend.dropped <- stats.Backend.dropped + 1
+    else if r < 0 then stats.Backend.send_errors <- stats.Backend.send_errors + 1
   in
   (* --- batched state (allocated only when batch > 0) --- *)
   let empty = Bytes.create 0 in
@@ -133,8 +145,8 @@ let create ?(batch = 0) ~bind () =
   let rips = Array.make (max batch 1) 0 in
   let rports = Array.make (max batch 1) 0 in
   (* Source addresses repeat heavily (the peer set is small); cache the
-     formatted "a.b.c.d:port" per (ip, port) so the rx hot path stops
-     allocating a string per datagram. Bounded like the dests cache. *)
+     formatted "a.b.c.d:port" per (ip, port) so neither rx path
+     allocates a string per datagram. Bounded like the dests cache. *)
   let srcs : (int, string) Hashtbl.t = Hashtbl.create 8 in
   let src_string ip port =
     let key = (ip lsl 16) lor port in
@@ -179,20 +191,13 @@ let create ?(batch = 0) ~bind () =
             fire-and-forget drops the rest, like the scalar path. *)
          if sent < n then stats.Backend.dropped <- stats.Backend.dropped + (n - sent)
        | Sysops.Would_block -> stats.Backend.dropped <- stats.Backend.dropped + n
-       | Sysops.Os_error -> stats.Backend.send_errors <- stats.Backend.send_errors + n
+       | Sysops.Refused | Sysops.Os_error ->
+         stats.Backend.send_errors <- stats.Backend.send_errors + n
        | Sysops.Unsupported ->
          (* Latched off: replay this batch scalar; future sends take the
             scalar path directly. *)
          for i = 0 to n - 1 do
-           let ip = tips.(i) and port = tports.(i) in
-           let to_ =
-             Unix.ADDR_INET
-               (Unix.inet_addr_of_string
-                  (Printf.sprintf "%d.%d.%d.%d" ((ip lsr 24) land 0xff)
-                     ((ip lsr 16) land 0xff) ((ip lsr 8) land 0xff) (ip land 0xff)),
-                port)
-           in
-           send_scalar to_ tbufs.(i)
+           send_scalar ~ip:tips.(i) ~port:tports.(i) tbufs.(i)
          done);
       Array.fill tbufs 0 n empty;  (* release the payload references *)
       tcount := 0
@@ -206,59 +211,51 @@ let create ?(batch = 0) ~bind () =
       stats.Backend.sent <- stats.Backend.sent + 1;
       stats.Backend.bytes_sent <- stats.Backend.bytes_sent + Bytes.length payload;
       match resolve dest with
-      | None -> stats.Backend.dropped <- stats.Backend.dropped + 1
-      | Some (to_, ipp) ->
-        (match ipp with
-         | Some (ip, port) when batch > 0 && Sysops.mmsg_available () ->
-           (* Stage by reference: sent bytes are immutable (see
-              Backend.t's [send]), possibly shared with other
-              destinations of the same frame. *)
-           if !tcount >= batch then flush_tx ();
-           let i = !tcount in
-           tbufs.(i) <- payload;
-           tlens.(i) <- Bytes.length payload;
-           tips.(i) <- ip;
-           tports.(i) <- port;
-           incr tcount
-         | _ -> send_scalar to_ payload)
+      | Malformed -> stats.Backend.dropped <- stats.Backend.dropped + 1
+      | Other_family -> stats.Backend.send_errors <- stats.Backend.send_errors + 1
+      | Ipv4 (ip, port) when batch > 0 && Sysops.mmsg_available () ->
+        (* Stage by reference: sent bytes are immutable (see
+           Backend.t's [send]), possibly shared with other
+           destinations of the same frame. *)
+        if !tcount >= batch then flush_tx ();
+        let i = !tcount in
+        tbufs.(i) <- payload;
+        tlens.(i) <- Bytes.length payload;
+        tips.(i) <- ip;
+        tports.(i) <- port;
+        incr tcount
+      | Ipv4 (ip, port) -> send_scalar ~ip ~port payload
     end
   in
-  (* The scalar path's sender addresses, memoised like [src_string]:
-     formatting one per datagram costs more than the rest of the rx. *)
-  let from_strings : (Unix.sockaddr, string) Hashtbl.t = Hashtbl.create 8 in
-  let from_string from =
-    match Hashtbl.find_opt from_strings from with
-    | Some s -> s
-    | None ->
-      let s = string_of_sockaddr from in
-      if Hashtbl.length from_strings >= cache_limit then Hashtbl.reset from_strings;
-      Hashtbl.replace from_strings from s;
-      s
-  in
   let buf = Bytes.create 65_536 in
+  let src = Array.make 2 0 in
   (* The scalar drain: also the batched path's fallback when the stubs
      latch off mid-run. *)
   let poll_scalar () =
     let drained = ref 0 in
     let continue = ref true in
     while !continue do
-      match Unix.recvfrom fd buf 0 (Bytes.length buf) [] with
-      | n, from ->
+      let n = Sysops.recvfrom fd buf ~src in
+      if n >= 0 then begin
         stats.Backend.bytes_received <- stats.Backend.bytes_received + n;
         (match !rx with
          | Some f ->
            stats.Backend.delivered <- stats.Backend.delivered + 1;
-           f ~src:(from_string from) (Bytes.sub buf 0 n)
+           f ~src:(src_string src.(0) src.(1)) (Bytes.sub buf 0 n)
          | None ->
            (* Unreachable: poll returns early without an rx. *)
            stats.Backend.dropped <- stats.Backend.dropped + 1);
         incr drained
-      | exception Unix.Unix_error ((EWOULDBLOCK | EAGAIN | EINTR), _, _) ->
-        continue := false
-      | exception Unix.Unix_error (ECONNREFUSED, _, _) ->
+      end
+      else if n = Sysops.refused then
         (* Linux reports a previous send's ICMP failure on receive;
            charge it to the sender and keep draining. *)
         stats.Backend.send_errors <- stats.Backend.send_errors + 1
+      else begin
+        if n <> Sysops.would_block then
+          stats.Backend.send_errors <- stats.Backend.send_errors + 1;
+        continue := false
+      end
     done;
     !drained
   in
@@ -293,9 +290,10 @@ let create ?(batch = 0) ~bind () =
       | Sysops.Unsupported ->
         drained := !drained + poll_scalar ();
         continue := false
+      | Sysops.Refused -> stats.Backend.send_errors <- stats.Backend.send_errors + 1
       | Sysops.Os_error ->
-        (* The batched analogue of the scalar ECONNREFUSED case. *)
-        stats.Backend.send_errors <- stats.Backend.send_errors + 1
+        stats.Backend.send_errors <- stats.Backend.send_errors + 1;
+        continue := false
     done;
     !drained
   in

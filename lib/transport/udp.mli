@@ -1,7 +1,9 @@
 (** UDP datagram backend: one non-blocking IPv4 socket per backend,
     addresses as ["host:port"] dotted-quad strings. Sends never block
     and never raise into the stack (failures become stats); {!val-create}
-    exposes the socket's fd so a {!Driver} can select on it. *)
+    exposes the socket's fd so a {!Driver} can select on it. Every
+    syscall goes through {!Sysops}, which moves bytes straight between
+    the socket and the OCaml buffers. *)
 
 val parse_addr : string -> (Unix.sockaddr, string) result
 (** Parse ["host:port"] (dotted quad, no name resolution). *)

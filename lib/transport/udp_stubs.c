@@ -1,20 +1,24 @@
-/* Batched-syscall and poll(2) stubs for the UDP backend and the
+/* Datagram-syscall and poll(2) stubs for the UDP backend and the
  * wall-clock driver.
  *
- * Return-code protocol shared by all three entry points (the OCaml
- * wrappers in sysops.ml depend on it):
+ * Return-code protocol shared by all entry points (the OCaml wrappers
+ * in sysops.ml depend on it):
  *
- *   >= 0  work done (datagrams received/sent, fds ready)
+ *   >= 0  work done (bytes or datagrams received/sent, fds ready)
  *   -1    would block / interrupted: nothing to do right now
  *   -2    unsupported on this platform or kernel (ENOSYS): the caller
  *         must flip to its scalar/select fallback and stop calling
  *   -3    other OS error: charged to the relevant error counter
+ *   -4    ECONNREFUSED: the kernel reporting an earlier send's ICMP
+ *         port-unreachable; the socket itself is fine
  *
- * recvmmsg/sendmmsg are called with MSG_DONTWAIT and the runtime lock
- * HELD: the sockets are non-blocking, so the syscalls return
- * immediately, and holding the lock keeps the Bytes_val pointers in
- * the iovecs stable (no allocation happens between taking them and
- * the syscall). poll(2) genuinely blocks, so it copies the fd numbers
+ * sendto/recvfrom/sendmmsg/recvmmsg are called with MSG_DONTWAIT and
+ * the runtime lock HELD: the sockets are non-blocking, so the syscalls
+ * return immediately, and holding the lock keeps the Bytes_val
+ * pointers stable (no allocation happens between taking them and the
+ * syscall). So the kernel reads from, and writes into, the OCaml
+ * buffers directly, with no staging copy. None of these four raises
+ * or allocates. poll(2) genuinely blocks, so it copies the fd numbers
  * out first and releases the runtime lock around the wait.
  */
 
@@ -41,9 +45,62 @@
 
 #define HORUS_MAX_BATCH 256
 
+#ifndef _WIN32
+/* The protocol's code for a failed datagram syscall's errno. */
+static value error_code(int err)
+{
+  if (err == EAGAIN || err == EWOULDBLOCK || err == EINTR) return Val_int(-1);
+  if (err == ENOSYS) return Val_int(-2);
+  if (err == ECONNREFUSED) return Val_int(-4);
+  return Val_int(-3);
+}
+#endif
+
 #if defined(__linux__)
 #define HORUS_HAVE_MMSG 1
 #endif
+
+/* sendto(fd, buf, len, ip, port): transmit the first len bytes of buf
+ * to the host-order IPv4 address ip and port. Returns the bytes sent. */
+CAMLprim value horus_sendto(value vfd, value vbuf, value vlen, value vip, value vport)
+{
+#ifndef _WIN32
+  struct sockaddr_in to;
+  memset(&to, 0, sizeof to);
+  to.sin_family = AF_INET;
+  to.sin_addr.s_addr = htonl((uint32_t)Long_val(vip));
+  to.sin_port = htons((uint16_t)Long_val(vport));
+  ssize_t r = sendto(Int_val(vfd), Bytes_val(vbuf), Long_val(vlen), MSG_DONTWAIT,
+                     (struct sockaddr *)&to, sizeof to);
+  if (r < 0) return error_code(errno);
+  return Val_long(r);
+#else
+  (void)vfd; (void)vbuf; (void)vlen; (void)vip; (void)vport;
+  return Val_int(-2);
+#endif
+}
+
+/* recvfrom(fd, buf, src): receive one datagram into buf. Returns its
+ * byte count and writes the host-order IPv4 source address into
+ * src.(0) and the source port into src.(1). A datagram longer than buf
+ * is truncated to it. */
+CAMLprim value horus_recvfrom(value vfd, value vbuf, value vsrc)
+{
+#ifndef _WIN32
+  struct sockaddr_in from;
+  socklen_t fromlen = sizeof from;
+  memset(&from, 0, sizeof from);
+  ssize_t r = recvfrom(Int_val(vfd), Bytes_val(vbuf), caml_string_length(vbuf),
+                       MSG_DONTWAIT, (struct sockaddr *)&from, &fromlen);
+  if (r < 0) return error_code(errno);
+  Field(vsrc, 0) = Val_long(ntohl(from.sin_addr.s_addr));
+  Field(vsrc, 1) = Val_long(ntohs(from.sin_port));
+  return Val_long(r);
+#else
+  (void)vfd; (void)vbuf; (void)vsrc;
+  return Val_int(-2);
+#endif
+}
 
 /* recvmmsg(fd, bufs, lens, ips, ports): drain up to Array.length bufs
  * datagrams in one syscall. For each received datagram i, lens.(i)
@@ -69,12 +126,7 @@ CAMLprim value horus_recvmmsg(value vfd, value vbufs, value vlens, value vips,
     msgs[i].msg_hdr.msg_namelen = sizeof(struct sockaddr_in);
   }
   int r = recvmmsg(Int_val(vfd), msgs, n, MSG_DONTWAIT, NULL);
-  if (r < 0) {
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
-      return Val_int(-1);
-    if (errno == ENOSYS) return Val_int(-2);
-    return Val_int(-3);
-  }
+  if (r < 0) return error_code(errno);
   for (int i = 0; i < r; i++) {
     Field(vlens, i) = Val_long(msgs[i].msg_len);
     Field(vips, i) = Val_long(ntohl(addrs[i].sin_addr.s_addr));
@@ -115,12 +167,7 @@ CAMLprim value horus_sendmmsg(value vfd, value vbufs, value vlens, value vips,
     msgs[i].msg_hdr.msg_namelen = sizeof(struct sockaddr_in);
   }
   int r = sendmmsg(Int_val(vfd), msgs, n, MSG_DONTWAIT);
-  if (r < 0) {
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
-      return Val_int(-1);
-    if (errno == ENOSYS) return Val_int(-2);
-    return Val_int(-3);
-  }
+  if (r < 0) return error_code(errno);
   return Val_int(r);
 #else
   (void)vfd; (void)vbufs; (void)vlens; (void)vips; (void)vports; (void)vcount;

@@ -31,13 +31,21 @@ let mac ~key b ~off ~len =
   fnv1a64 ~init:h kb ~off:0 ~len:(Bytes.length kb)
 
 (* --- CRC-32 (ISO-HDLC / zlib polynomial, reflected), for the frame
-   codec of lib/transport. Slicing-by-8: eight 256-entry tables, laid
-   end to end in one array and built at load, fold eight input bytes
-   per step instead of one. Table k maps a byte to its CRC contribution
-   when k zero bytes follow it, so the eight lookups of a step are
-   independent and XOR together. --- *)
+   codec of lib/transport. Two paths compute the same function.
 
-let crc32_tables =
+   The table path is slicing-by-8: eight 256-entry tables, laid end to
+   end in one array and built at load, fold eight input bytes per step
+   instead of one. Table k maps a byte to its CRC contribution when k
+   zero bytes follow it, so the eight lookups of a step are independent
+   and XOR together.
+
+   The kernel in crc_stubs.c folds 16-byte blocks by carry-less
+   multiplication (PCLMULQDQ). [crc32] hands it the 16-byte-multiple
+   prefix of any range of at least 64 bytes and finishes the tail of
+   fewer than 16 bytes here. Both paths work on the inverted register,
+   so they chain. --- *)
+
+let tables =
   let t = Array.make (8 * 256) 0 in
   for n = 0 to 255 do
     let c = ref n in
@@ -62,12 +70,12 @@ let[@inline] get_le32 b i =
   let w = get32u b i in
   Int32.to_int (if Sys.big_endian then bswap32 w else w) land 0xFFFFFFFF
 
-let[@inline] tbl k i = Array.unsafe_get crc32_tables ((k lsl 8) lor i)
+let[@inline] tbl k i = Array.unsafe_get tables ((k lsl 8) lor i)
 
-let crc32 ?(init = 0) b ~off ~len =
-  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Crc.crc32";
-  (* Masked so that every table index below stays in 0..255. *)
-  let c = ref ((init lxor 0xFFFFFFFF) land 0xFFFFFFFF) in
+(* Fold [b.[off..off+len)] into the inverted register [c] (in 0..2^32-1,
+   so that every table index below stays in 0..255). *)
+let fold_tables c b off len =
+  let c = ref c in
   let i = ref off in
   let stop8 = off + (len land lnot 7) in
   while !i < stop8 do
@@ -87,7 +95,36 @@ let crc32 ?(init = 0) b ~off ~len =
   for j = stop8 to off + len - 1 do
     c := tbl 0 ((!c lxor Char.code (Bytes.unsafe_get b j)) land 0xff) lxor (!c lsr 8)
   done;
-  !c lxor 0xFFFFFFFF
+  !c
+
+external clmul_supported : unit -> bool = "horus_crc32_accelerated" [@@noalloc]
+
+external fold_clmul :
+  Bytes.t -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "horus_crc32_clmul_byte" "horus_crc32_clmul"
+[@@noalloc]
+
+let accelerated = clmul_supported ()
+
+let check_range name b ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg name
+
+let crc32_tables ?(init = 0) b ~off ~len =
+  check_range "Crc.crc32_tables" b ~off ~len;
+  fold_tables ((init lxor 0xFFFFFFFF) land 0xFFFFFFFF) b off len lxor 0xFFFFFFFF
+
+let crc32 ?(init = 0) b ~off ~len =
+  check_range "Crc.crc32" b ~off ~len;
+  let c = (init lxor 0xFFFFFFFF) land 0xFFFFFFFF in
+  let c =
+    if accelerated && len >= 64 then begin
+      let blocks = len land lnot 15 in
+      let c = fold_clmul b off blocks c in
+      fold_tables c b (off + blocks) (len - blocks)
+    end
+    else fold_tables c b off len
+  in
+  c lxor 0xFFFFFFFF
 
 let crc32_string s =
   let b = Bytes.unsafe_of_string s in

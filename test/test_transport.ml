@@ -231,11 +231,57 @@ let prop_crc32_reference =
        let len = len_seed * 37 mod (min 4096 (n - off) + 1) in
        let k = split_seed mod (len + 1) in
        let init = (init_seed * 4 + 3) land 0xFFFFFFFF in
-       let crc = Horus_util.Crc.crc32 in
-       let whole = crc b ~off ~len in
-       whole = crc32_ref b ~off ~len
-       && crc ~init:(crc b ~off ~len:k) b ~off:(off + k) ~len:(len - k) = whole
-       && crc ~init b ~off ~len = crc32_ref ~init b ~off ~len)
+       let agrees (crc : ?init:int -> Bytes.t -> off:int -> len:int -> int) =
+         let whole = crc b ~off ~len in
+         whole = crc32_ref b ~off ~len
+         && crc ~init:(crc b ~off ~len:k) b ~off:(off + k) ~len:(len - k) = whole
+         && crc ~init b ~off ~len = crc32_ref ~init b ~off ~len
+       in
+       (* Both paths: the kernel (where the CPU has it) and the tables. *)
+       agrees Horus_util.Crc.crc32 && agrees Horus_util.Crc.crc32_tables)
+
+(* Every length around the kernel's boundaries (under 64 bytes, a
+   16-byte tail or none, one or more 64-byte blocks), at every
+   alignment, from a zero and from a random [init]. *)
+let crc_sweep () =
+  let rng = Random.State.make [| 18 |] in
+  let b = Bytes.init (8192 + 16) (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let inits = [ 0; Random.State.full_int rng 0x1_0000_0000 ] in
+  List.iter
+    (fun len ->
+       for off = 0 to 15 do
+         List.iter
+           (fun init ->
+              let want = crc32_ref ~init b ~off ~len in
+              let check name (crc : ?init:int -> Bytes.t -> off:int -> len:int -> int) =
+                Alcotest.(check int)
+                  (Printf.sprintf "%s len %d off %d init %08x" name len off init)
+                  want (crc ~init b ~off ~len)
+              in
+              check "crc32" Horus_util.Crc.crc32;
+              check "crc32_tables" Horus_util.Crc.crc32_tables)
+           inits
+       done)
+    [ 0; 1; 15; 16; 17; 63; 64; 65; 79; 80; 127; 128; 129; 1019; 1024; 4096; 8192 ]
+
+(* A build that silently loses the carry-less-multiply kernel still
+   passes every value check, so pin its presence: on a CPU that offers
+   PCLMULQDQ and SSE4.1, [Crc.accelerated] must hold. *)
+let crc_kernel_where_supported () =
+  match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+  | exception Sys_error _ -> ()
+  | info ->
+    let flags =
+      List.concat_map
+        (fun line ->
+           match String.index_opt line ':' with
+           | Some i when String.trim (String.sub line 0 i) = "flags" ->
+             String.split_on_char ' ' (String.sub line (i + 1) (String.length line - i - 1))
+           | _ -> [])
+        (String.split_on_char '\n' info)
+    in
+    if List.mem "pclmulqdq" flags && List.mem "sse4_1" flags then
+      Alcotest.(check bool) "Crc.accelerated" true Horus_util.Crc.accelerated
 
 (* The exact wire image of one frame: any change to the layout, field
    order, byte order or checksum shows up here first. *)
@@ -809,6 +855,81 @@ let udp_batched_roundtrip () =
   a.T.Backend.close ();
   b.T.Backend.close ()
 
+exception Watchdog
+
+(* Run [f], failing the test instead of hanging it if [f] is still
+   running after [secs] seconds. *)
+let with_watchdog secs f =
+  let old = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Watchdog)) in
+  ignore (Unix.alarm secs);
+  Fun.protect
+    ~finally:(fun () ->
+        ignore (Unix.alarm 0);
+        Sys.set_signal Sys.sigalrm old)
+    (fun () ->
+       match f () with
+       | r -> r
+       | exception Watchdog -> Alcotest.failf "still running after %d s" secs)
+
+(* An error other than would-block or ECONNREFUSED (here EBADF: the fd
+   is closed behind the backend) is counted once and ends the drain,
+   on the scalar and on the batched rx path alike. *)
+let udp_error_ends_drain batch () =
+  let b = T.Udp.create ~batch ~bind:"127.0.0.1:0" () in
+  b.T.Backend.set_rx (fun ~src:_ _ -> Alcotest.fail "no datagram expected");
+  Unix.close (Option.get b.T.Backend.fd);
+  let errors0 = b.T.Backend.stats.T.Backend.send_errors in
+  let drained = with_watchdog 5 (fun () -> b.T.Backend.poll ()) in
+  Alcotest.(check int) "nothing drained" 0 drained;
+  Alcotest.(check int) "counted once" (errors0 + 1) b.T.Backend.stats.T.Backend.send_errors;
+  b.T.Backend.close ()
+
+(* The socket speaks IPv4 only: a send to another family is a send
+   error, never a raise, and a malformed address is a drop. *)
+let udp_foreign_destinations () =
+  let a = T.Udp.create ~bind:"127.0.0.1:0" () in
+  let st = a.T.Backend.stats in
+  a.T.Backend.send ~dest:"::1:9" (Bytes.of_string "v6");
+  Alcotest.(check int) "IPv6 destination is a send error" 1 st.T.Backend.send_errors;
+  a.T.Backend.send ~dest:"no-port" (Bytes.of_string "bad");
+  Alcotest.(check int) "malformed destination is a drop" 1 st.T.Backend.dropped;
+  a.T.Backend.close ()
+
+(* Datagrams at both ends of the size range, on either rx path: an
+   empty one arrives as 0 bytes (and a link counts it as a bad frame:
+   too short to be one), a [max_datagram] one arrives intact, and each
+   names its sender by the sender's bound address. *)
+let udp_short_and_max batch () =
+  let world = World.create () in
+  let a = T.Udp.create ~batch ~bind:"127.0.0.1:0" () in
+  let b = T.Udp.create ~batch ~bind:"127.0.0.1:0" () in
+  let c = T.Udp.create ~batch ~bind:"127.0.0.1:0" () in
+  let driver = T.Driver.create (World.engine world) [ a; b; c ] in
+  let got = ref [] in
+  b.T.Backend.set_rx (fun ~src bytes -> got := (src, bytes) :: !got);
+  let link = Transport_link.create world in
+  ignore (Transport_link.mux link ~backend:c ~peers:(T.Peers.create ()));
+  let big = Bytes.init T.Udp.max_datagram (fun i -> Char.chr ((i * 7) land 0xff)) in
+  a.T.Backend.send ~dest:b.T.Backend.local_addr Bytes.empty;
+  a.T.Backend.send ~dest:b.T.Backend.local_addr big;
+  a.T.Backend.send ~dest:c.T.Backend.local_addr Bytes.empty;
+  Alcotest.(check bool) "both datagrams arrive" true
+    (T.Driver.run_until ~timeout:5.0 driver (fun () -> List.length !got >= 2));
+  (match List.sort (fun (_, x) (_, y) -> compare (Bytes.length x) (Bytes.length y)) !got with
+   | [ (src0, empty); (src1, whole) ] ->
+     Alcotest.(check int) "empty datagram is 0 bytes" 0 (Bytes.length empty);
+     Alcotest.(check bool) "max datagram intact" true (Bytes.equal whole big);
+     Alcotest.(check string) "src of the empty one" a.T.Backend.local_addr src0;
+     Alcotest.(check string) "src of the max one" a.T.Backend.local_addr src1
+   | l -> Alcotest.failf "expected 2 datagrams, got %d" (List.length l));
+  Alcotest.(check bool) "link counts the empty one as a bad frame" true
+    (T.Driver.run_until ~timeout:5.0 driver (fun () ->
+         c.T.Backend.stats.T.Backend.bad_frame = 1));
+  (match T.Frame.decode Bytes.empty with
+   | Error (T.Frame.Too_short 0) -> ()
+   | _ -> Alcotest.fail "an empty datagram must decode as Too_short 0");
+  List.iter (fun (bk : T.Backend.t) -> bk.T.Backend.close ()) [ a; b; c ]
+
 let () =
   Alcotest.run "transport"
     ([ ( "frame",
@@ -826,6 +947,10 @@ let () =
            Alcotest.test_case "wrong version rejected" `Quick frame_version;
            Alcotest.test_case "bad magic rejected" `Quick frame_magic;
            Alcotest.test_case "crc32 check value" `Quick crc_check_value ] );
+       ( "crc",
+         [ Alcotest.test_case "both paths: lengths, offsets, inits" `Quick crc_sweep;
+           Alcotest.test_case "kernel used where the CPU has it" `Quick
+             crc_kernel_where_supported ] );
        ("peers", [ Alcotest.test_case "parse and canonical form" `Quick peers_parse ]);
        ( "loopback",
          [ Alcotest.test_case "raw datagrams and stats" `Quick loopback_raw;
@@ -849,5 +974,12 @@ let () =
                udp_ephemeral_ports_distinct;
              Alcotest.test_case "batched sendmmsg/recvmmsg round-trip" `Quick
                udp_batched_roundtrip;
+             Alcotest.test_case "error ends the drain, scalar" `Quick (udp_error_ends_drain 0);
+             Alcotest.test_case "error ends the drain, batched" `Quick (udp_error_ends_drain 32);
+             Alcotest.test_case "non-IPv4 and malformed destinations" `Quick
+               udp_foreign_destinations;
+             Alcotest.test_case "empty and max datagrams, scalar" `Quick (udp_short_and_max 0);
+             Alcotest.test_case "empty and max datagrams, batched" `Quick
+               (udp_short_and_max 32);
              Alcotest.test_case "full stack over real UDP" `Slow udp_full_stack ] ) ]
      else [])

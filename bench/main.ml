@@ -464,8 +464,6 @@ let t3_fastpath () =
              ("fallbacks", J.Int fallbacks);
              ("cast_send_crossings", J.Float cast_crossings);
              ("all_ops_crossings", J.Float crossings);
-             ("pool_hits", J.Int (int_of_float (Horus_obs.Metrics.gauge_value
-                (Horus_obs.Metrics.gauge m "fastpath.pool_hits"))));
              ("equivalent_deliveries", J.Bool equivalent) ]
          :: !rows;
        Format.printf "  %5d  %10d  %13d  %9d  %12.1f  %13.1f  %10b@." depth
@@ -476,8 +474,7 @@ let t3_fastpath () =
   Format.printf
     "@.shape check: cast crossings stay at 5 (the non-inert layers) at every@.\
      depth — the full path's figure is the depth itself, which is what the@.\
-     all-ops column (control packets included) drifts toward. Pool hits@.\
-     climbing means steady-state casts stopped allocating header blocks.@."
+     all-ops column (control packets included) drifts toward.@."
 
 (* ------------------------------------------------------------------ *)
 (* M4: hierarchical churn — directory + HIER + mux at bench scale      *)

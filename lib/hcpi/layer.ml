@@ -62,9 +62,10 @@ type fastpath = {
   fp_send_ready : len:int -> bool;
       (* may this layer's send work be fused for an [len]-byte
          application payload? Pure. *)
-  fp_send : Seg.t -> unit;
-      (* commit: push this layer's header(s) and apply the side
-         effects the full down-path would have had. *)
+  fp_send : Msg.t -> unit;
+      (* commit: push this layer's header(s) onto the application's
+         message and apply the side effects the full down-path would
+         have had — by running the same stamp code. *)
   fp_deliver_check : rank:int -> meta:Event.meta -> Msg.t -> bool;
       (* pop this layer's header(s) and decide whether the packet is
          the undisturbed next-in-order cast. May stash scratch for the
@@ -78,10 +79,10 @@ type fastpath = {
    shape. *)
 type fp_bottom = {
   fpb_send_ready : unit -> bool;
-  fpb_cast : Seg.t -> (Msg.t * int * Event.meta) option;
-      (* frame, gather and transmit the cast; returns the local copy
-         (message, self rank, meta) when the sender is itself a
-         destination, for delivery through the normal queue. *)
+  fpb_cast : Msg.t -> unit;
+      (* frame and transmit the cast, and deliver the sender's own
+         copy through the normal queue when it is a destination:
+         the full path's cast handler itself. *)
   fpb_parse : Msg.t -> (int * Event.meta) option;
       (* strip the envelope of an incoming packet; [Some (rank, meta)]
          when it is a well-formed cast from a current member. Pure but

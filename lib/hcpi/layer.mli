@@ -40,24 +40,27 @@ val null_storage : storage
 
 type fastpath = {
   fp_send_ready : len:int -> bool;
-  fp_send : Seg.t -> unit;
+  fp_send : Msg.t -> unit;
   fp_deliver_check : rank:int -> meta:Event.meta -> Msg.t -> bool;
   fp_deliver_commit : rank:int -> meta:Event.meta -> Msg.t -> unit;
 }
 (** One layer's compiled steady-state cast handling. Ready/check
     phases must be pure apart from pops on the message (restored on
     fallback); all mutation belongs in the commit phases, which must
-    reproduce the full path's effects exactly. *)
+    reproduce the full path's effects exactly. [fp_send] pushes the
+    layer's header onto the same {!Msg.t} the full path would, with
+    the same stamp code. *)
 
 type fp_bottom = {
   fpb_send_ready : unit -> bool;
-  fpb_cast : Seg.t -> (Msg.t * int * Event.meta) option;
+  fpb_cast : Msg.t -> unit;
   fpb_parse : Msg.t -> (int * Event.meta) option;
   fpb_parsed : unit -> unit;
 }
 (** The bottom adapter's compiled form: frame-and-transmit on the way
-    down ([fpb_cast] returns the local copy when the sender is a
-    destination), envelope recognition on the way up. *)
+    down ([fpb_cast] is the full path's cast handler: it also hands
+    the sender's own copy up through the normal queue when the sender
+    is a destination), envelope recognition on the way up. *)
 
 type env = {
   engine : Horus_sim.Engine.t;

@@ -45,8 +45,6 @@ type fp_obs = {
   fp_compiles : Horus_obs.Metrics.counter;
   fp_invalidations : Horus_obs.Metrics.counter;
   fp_crossings : Horus_obs.Metrics.histogram;  (* layer crossings per cast *)
-  fp_pool_hits : Horus_obs.Metrics.gauge;
-  fp_pool_misses : Horus_obs.Metrics.gauge;
 }
 
 type t = {
@@ -61,7 +59,6 @@ type t = {
   to_below : Event.down -> unit;
   (* --- fused fast path (Section 10's remedies, combined) --- *)
   fp_enabled : bool;
-  fp_pool : Horus_msg.Pool.t;               (* header blocks for Seg *)
   fp_send_compilers : (unit -> Layer.fastpath option) option array;
   fp_bottom_compilers : (unit -> Layer.fp_bottom option) option array;
   mutable fp_path : fp_path option;
@@ -127,8 +124,9 @@ let enqueue t item =
    "indirect procedure call each time a layer boundary is crossed"
    that Section 10 identifies as the dominant cost. The fast path
    compiles the per-layer crossings into one closure pair and runs
-   steady-state casts through them directly, with the message body
-   carried zero-copy in a segment list.
+   steady-state casts through them directly. The fused send pushes
+   every header onto the application's own message, as the full path
+   does, so the body is copied once, into the frame.
 
    Safety comes from the check/commit split (see Layer.fastpath): a
    cast is fused only when every participating layer agrees, *before*
@@ -186,15 +184,6 @@ let fp_compile t =
          | None -> ()
        end)
 
-let fp_sync_pool_gauges t =
-  match t.fp_obs with
-  | None -> ()
-  | Some o ->
-    Horus_obs.Metrics.set o.fp_pool_hits
-      (float_of_int (Horus_msg.Pool.hits t.fp_pool));
-    Horus_obs.Metrics.set o.fp_pool_misses
-      (float_of_int (Horus_msg.Pool.misses t.fp_pool))
-
 (* The splice precondition: fused events may only replace queue
    processing when the queue has nothing in flight — otherwise
    ordering relative to queued events would change. *)
@@ -206,40 +195,33 @@ let fp_ready t =
     t.fp_path <> None
   end
 
-(* Replicates the bottom layer's [emit_up]: the sender's own copy of a
-   fused cast is delivered through the normal queue, exactly as the
-   full path's local delivery would be. *)
-let fp_emit_above_bottom t ev =
-  let j = Array.length t.layers - 2 in
-  enqueue t (if j < 0 then To_app ev else Up (j, ev))
+(* Index walks, not [Array.for_all]/[Array.iter] with a lambda: the
+   fused send allocates no closure. *)
+let rec fp_send_ready (fps : Layer.fastpath array) ~len i =
+  i >= Array.length fps
+  || (fps.(i).Layer.fp_send_ready ~len && fp_send_ready fps ~len (i + 1))
 
 let fp_try_send t m =
   fp_ready t
   && match t.fp_path with
      | None -> false
      | Some p ->
-       let len = Horus_msg.Msg.length m in
-       Array.for_all (fun (fp : Layer.fastpath) -> fp.Layer.fp_send_ready ~len) p.fps
+       fp_send_ready p.fps ~len:(Horus_msg.Msg.length m) 0
        && p.fpb.Layer.fpb_send_ready ()
        && begin
-         (* Commit: headers pushed top to bottom onto a segment list
-            that aliases the application payload; the bottom adapter
-            gathers once and transmits. *)
-         let seg = Horus_msg.Seg.of_msg t.fp_pool m in
-         Array.iter (fun (fp : Layer.fastpath) -> fp.Layer.fp_send seg) p.fps;
-         let local = p.fpb.Layer.fpb_cast seg in
-         Horus_msg.Seg.dispose seg;
          (match t.fp_obs with
           | Some o ->
             Horus_obs.Metrics.incr o.fp_send_fused;
             Horus_obs.Metrics.observe o.fp_crossings
               (float_of_int (Array.length p.fps + 1))
           | None -> ());
-         fp_sync_pool_gauges t;
-         (match local with
-          | Some (lm, rank, meta) ->
-            fp_emit_above_bottom t (Event.U_cast (rank, lm, meta))
-          | None -> ());
+         (* Commit: headers pushed top to bottom onto the application's
+            message, then the bottom adapter's own cast handler frames
+            it once, transmits, and queues the local copy. *)
+         for i = 0 to Array.length p.fps - 1 do
+           p.fps.(i).Layer.fp_send m
+         done;
+         p.fpb.Layer.fpb_cast m;
          true
        end
 
@@ -284,7 +266,6 @@ let fp_try_deliver t m =
              Horus_obs.Metrics.incr o.fp_deliver_fused;
              Horus_obs.Metrics.observe o.fp_crossings (float_of_int (nf + 1))
            | None -> ());
-          fp_sync_pool_gauges t;
           t.to_app (Event.U_cast (rank, m, meta));
           true)
 
@@ -320,9 +301,7 @@ let create ~engine ~endpoint ~group ~prng ~transport ~rendezvous
              fp_crossings =
                Horus_obs.Metrics.histogram
                  ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32. |]
-                 m "fastpath.crossings_per_cast";
-             fp_pool_hits = Horus_obs.Metrics.gauge m "fastpath.pool_hits";
-             fp_pool_misses = Horus_obs.Metrics.gauge m "fastpath.pool_misses" })
+                 m "fastpath.crossings_per_cast" })
         metrics
   in
   let t =
@@ -336,7 +315,6 @@ let create ~engine ~endpoint ~group ~prng ~transport ~rendezvous
       to_app;
       to_below;
       fp_enabled = fastpath;
-      fp_pool = Horus_msg.Pool.create ();
       fp_send_compilers = Array.make n None;
       fp_bottom_compilers = Array.make n None;
       fp_path = None;

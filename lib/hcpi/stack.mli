@@ -34,8 +34,10 @@ val create :
     With [fastpath], steady-state casts are fused: when the queue is
     idle and every participating layer has compiled a fused form (see
     {!Layer.fastpath}), a cast crosses the stack as one direct
-    closure-pair call with its body carried zero-copy, falling back to
-    the full queue on any disagreement. Fused traffic reports under
+    closure-pair call, falling back to the full queue on any
+    disagreement. Each layer pushes its header onto the application's
+    message exactly as on the full path, so the body is copied once,
+    into the frame. Fused traffic reports under
     [fastpath.*] metrics instead of the per-crossing [hcpi.*]
     counters. *)
 

@@ -103,12 +103,16 @@ let deliver_local t ~kind m =
   | Cast -> t.env.Layer.emit_up (Event.U_cast (t.self_rank, m, t.self_meta))
   | Send -> t.env.Layer.emit_up (Event.U_send (t.self_rank, m, t.self_meta))
 
+(* A cast to the current destination set: the full path's handler and
+   the fused path's bottom, both. *)
+let cast t m =
+  push_envelope t ~kind:Cast m;
+  xmit t ~dsts:t.peers m;
+  if t.loopback && t.self_rank >= 0 then deliver_local t ~kind:Cast m
+
 let handle_down t (ev : Event.down) =
   match ev with
-  | Event.D_cast m ->
-    push_envelope t ~kind:Cast m;
-    xmit t ~dsts:t.peers m;
-    if t.loopback && t.self_rank >= 0 then deliver_local t ~kind:Cast m
+  | Event.D_cast m -> cast t m
   | Event.D_send (dsts, m) ->
     let self = t.env.Layer.endpoint in
     let local = t.loopback && List.exists (Addr.equal_endpoint self) dsts in
@@ -198,34 +202,19 @@ let dump t () =
     Printf.sprintf "sent=%d received=%d rejected=%d filtered=%d" t.sent t.received t.rejected
       t.filtered ]
 
-(* Fused form (bottom adapter): frame-and-transmit on the way down,
-   envelope recognition on the way up. The compile captures the
-   destination set; the physical-equality guard in [fpb_send_ready]
-   catches replacements no view event announces (D_join, D_leave).
-   As on the full path, the gathered wire image is one datagram handed
-   to the transport for every destination. *)
+(* Fused form (bottom adapter): the full path's [cast] on the way
+   down, envelope recognition on the way up. The physical-equality
+   guard in [fpb_send_ready] keeps the path to the destination set it
+   was compiled for — [set_dests] replaces [dests], [peers] and
+   [self_rank] together — and catches replacements no view event
+   announces (D_join, D_leave). *)
 let compile_fastpath t () =
   if Array.length t.dests = 0 then None
   else begin
     let dests = t.dests in
-    let peers = t.peers in
-    let self_eid = Addr.endpoint_id t.env.Layer.endpoint in
-    let local_wanted = t.loopback && t.self_rank >= 0 in
     Some
       { Layer.fpb_send_ready = (fun () -> t.dests == dests);
-        fpb_cast =
-          (fun seg ->
-             Seg.push_u32 seg self_eid;
-             Seg.push_u8 seg (kind_code Cast);
-             Seg.push_u16 seg (Seg.length seg land 0xffff);
-             Seg.push_u16 seg magic;
-             let wire = Seg.to_msg seg in
-             xmit t ~dsts:peers wire;
-             if local_wanted then begin
-               strip_envelope wire;
-               Some (wire, t.self_rank, t.self_meta)
-             end
-             else None);
+        fpb_cast = cast t;
         fpb_parse =
           (fun m ->
              let mg = Msg.pop_u16 m in

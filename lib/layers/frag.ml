@@ -94,7 +94,7 @@ let create params env =
   env.Layer.fp_register (fun () ->
       Some
         { Layer.fp_send_ready = (fun ~len -> len + 64 <= t.frag_size);
-          fp_send = (fun seg -> Seg.push_bool seg false);
+          fp_send = (fun m -> Msg.push_bool m false);
           fp_deliver_check =
             (fun ~rank:_ ~meta m ->
                (not (Msg.pop_bool m))

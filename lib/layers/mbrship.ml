@@ -190,6 +190,15 @@ let accept_data t ~origin ~seq ~rank m meta =
   let rank = if rank >= 0 then rank else rank_of_origin t origin in
   Delivery_log.accept t.log ~origin ~seq ~rank m meta
 
+(* Number my data cast and log it in the unstable store (the log keeps
+   a frozen alias of the message as this layer sends it). *)
+let stamp_cast t m =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  Delivery_log.record t.log ~origin:(my_eid t) ~seq m;
+  Msg.push_u32 m seq;
+  Msg.push_u8 m k_data
+
 (* --- stability gossip and log GC --- *)
 
 let stab_vector t = Delivery_log.vector t.log
@@ -286,11 +295,7 @@ let adopt_view t v =
   let rec drain () =
     if not (Queue.is_empty t.pending_casts) then begin
       let m = Queue.pop t.pending_casts in
-      let seq = t.next_seq in
-      t.next_seq <- seq + 1;
-      Delivery_log.record t.log ~origin:(my_eid t) ~seq m;
-      Msg.push_u32 m seq;
-      Msg.push_u8 m k_data;
+      stamp_cast t m;
       t.env.Layer.emit_down (Event.D_cast m);
       drain ()
     end
@@ -857,11 +862,7 @@ let handle_down t (ev : Event.down) =
     if t.phase = Exited then ()
     else if blocked t || t.phase = Idle then Queue.push m t.pending_casts
     else begin
-      let seq = t.next_seq in
-      t.next_seq <- seq + 1;
-      Delivery_log.record t.log ~origin:(my_eid t) ~seq m;
-      Msg.push_u32 m seq;
-      Msg.push_u8 m k_data;
+      stamp_cast t m;
       t.env.Layer.emit_down (Event.D_cast m)
     end
   | Event.D_flush_ok -> handle_flush_ok_down t
@@ -1017,13 +1018,7 @@ let make ~name ~forward_unstable_default params env =
       let chk_seq = ref 0 in
       Some
         { Layer.fp_send_ready = (fun ~len:_ -> t.phase = Normal);
-          fp_send =
-            (fun seg ->
-               let seq = t.next_seq in
-               t.next_seq <- seq + 1;
-               Delivery_log.record t.log ~origin:(my_eid t) ~seq (Seg.to_msg seg);
-               Seg.push_u32 seg seq;
-               Seg.push_u8 seg k_data);
+          fp_send = stamp_cast t;
           fp_deliver_check =
             (fun ~rank:_ ~meta m ->
                t.phase = Normal

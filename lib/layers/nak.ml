@@ -519,15 +519,19 @@ let change_epoch t ~epoch ~members =
   end
   else t.members <- members
 
+(* Number a data cast and log it for retransmission. *)
+let stamp_cast t m =
+  let seq = t.cast_next_seq in
+  t.cast_next_seq <- seq + 1;
+  Msg.push_u32 m seq;
+  Msg.push_u32 m t.epoch;
+  Msg.push_u8 m k_data_cast;
+  buffer_cast t seq (Msg.freeze m)
+
 let handle_down t (ev : Event.down) =
   match ev with
   | Event.D_cast m ->
-    let seq = t.cast_next_seq in
-    t.cast_next_seq <- seq + 1;
-    Msg.push_u32 m seq;
-    Msg.push_u32 m t.epoch;
-    Msg.push_u8 m k_data_cast;
-    buffer_cast t seq (Msg.freeze m);
+    stamp_cast t m;
     t.env.Layer.emit_down (Event.D_cast m)
   | Event.D_send (dsts, m) ->
     (* Fan a subset send out into per-pair sequenced unicasts. *)
@@ -707,14 +711,7 @@ let create params env =
       let chk_seq = ref 0 in
       Some
         { Layer.fp_send_ready = (fun ~len:_ -> true);
-          fp_send =
-            (fun seg ->
-               let seq = t.cast_next_seq in
-               t.cast_next_seq <- seq + 1;
-               Seg.push_u32 seg seq;
-               Seg.push_u32 seg t.epoch;
-               Seg.push_u8 seg k_data_cast;
-               buffer_cast t seq (Seg.to_msg seg));
+          fp_send = stamp_cast t;
           fp_deliver_check =
             (fun ~rank:_ ~meta m ->
                Msg.pop_u8 m = k_data_cast

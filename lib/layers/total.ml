@@ -62,16 +62,20 @@ let send_token t ~to_rank =
   Msg.push_u8 m k_token;
   cast_down t m
 
+(* Holder: give [m] the next global sequence number. *)
+let stamp t m =
+  Msg.push_u32 m t.next_gseq;
+  Msg.push_u8 m k_ordered;
+  t.next_gseq <- t.next_gseq + 1;
+  t.casts_ordered <- t.casts_ordered + 1
+
 (* Holder: cast everything pending, then hand the token to the first
    requester, if any. *)
 let drain t =
   if have_token t then begin
     while not (Queue.is_empty t.pending) do
       let m = Queue.pop t.pending in
-      Msg.push_u32 m t.next_gseq;
-      Msg.push_u8 m k_ordered;
-      t.next_gseq <- t.next_gseq + 1;
-      t.casts_ordered <- t.casts_ordered + 1;
+      stamp t m;
       cast_down t m
     done;
     t.requested <- false;
@@ -160,11 +164,8 @@ let create (_ : Params.t) env =
             (fun ~len:_ ->
                have_token t && Queue.is_empty t.pending && t.requests = []);
           fp_send =
-            (fun seg ->
-               Seg.push_u32 seg t.next_gseq;
-               Seg.push_u8 seg k_ordered;
-               t.next_gseq <- t.next_gseq + 1;
-               t.casts_ordered <- t.casts_ordered + 1;
+            (fun m ->
+               stamp t m;
                t.requested <- false);
           fp_deliver_check =
             (fun ~rank:_ ~meta:_ m ->

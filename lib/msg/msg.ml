@@ -234,9 +234,10 @@ let restore t (off, len) =
   t.off <- off;
   t.len <- len
 
-(* Aliasing read view (buffer, offset, length) of the live bytes. The
-   segment-list message uses it to reference a payload without
-   blitting; the view is invalidated by any mutation of [t]. *)
+(* Aliasing read view (buffer, offset, length) of the live bytes, for
+   readers that take a payload without blitting it (fragmentation, the
+   transport's framing); the view is invalidated by any mutation of
+   [t]. *)
 let view t = (t.buf, t.off, t.len)
 
 let equal a b = to_string a = to_string b

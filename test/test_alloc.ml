@@ -22,7 +22,13 @@
    committed ceiling, which catches any other allocation creeping onto
    the path. Words are a count, not a time, so the test is
    host-independent; the ceiling leaves about 25 % headroom over the
-   measured value, for the differences between OCaml releases. *)
+   measured value, for the differences between OCaml releases.
+
+   The default-period window is measured once more with every member
+   on the fused fast path. A fused cast pushes its headers onto the
+   same message as an unfused one and skips the event queue, so it
+   must allocate no more than the unfused cast, and it stays under the
+   same ceiling. *)
 
 open Horus
 
@@ -39,13 +45,15 @@ let warmup_s = 2.0
 let measure_s = 4.0
 
 (* Words per cast over the measured window. *)
-let words_per_cast ~caster_spec =
+let words_per_cast ~fastpath ~caster_spec =
   let world = World.create ~seed:1 () in
   let g = World.fresh_group_addr world in
   let delivered = ref 0 in
   let on_up = function Event.U_cast _ -> incr delivered | _ -> () in
   let join ?contact spec =
-    let gr = Group.join ?contact ~on_up ~record:false (Endpoint.create world ~spec) g in
+    let gr =
+      Group.join ?contact ~on_up ~record:false ~fastpath (Endpoint.create world ~spec) g
+    in
     World.run_for world ~duration:0.5;
     gr
   in
@@ -81,12 +89,20 @@ let words_per_cast ~caster_spec =
 let ceiling = 496.0
 
 let test_budget () =
-  let default = words_per_cast ~caster_spec:stack in
-  let slow = words_per_cast ~caster_spec:slow_stack in
-  Printf.printf "minor words per cast: default periods %.0f, caster's periods 8x %.0f\n"
-    default slow;
+  let default = words_per_cast ~fastpath:false ~caster_spec:stack in
+  let slow = words_per_cast ~fastpath:false ~caster_spec:slow_stack in
+  let fused = words_per_cast ~fastpath:true ~caster_spec:stack in
+  Printf.printf
+    "minor words per cast: default periods %.0f, caster's periods 8x %.0f, fused %.0f\n"
+    default slow fused;
   if default > ceiling then
     Alcotest.failf "%.0f minor words per cast exceeds the ceiling of %.0f" default ceiling;
+  if fused > ceiling then
+    Alcotest.failf "%.0f minor words per fused cast exceeds the ceiling of %.0f" fused
+      ceiling;
+  if fused > default then
+    Alcotest.failf "the fused cast allocates %.0f minor words, the unfused %.0f" fused
+      default;
   if slow > 1.10 *. default then
     Alcotest.failf
       "minor words per cast grew from %.0f to %.0f (more than 10%%) with an 8x larger \

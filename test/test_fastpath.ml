@@ -1,4 +1,4 @@
-(* The fused fast path (Section 10): equivalence and unit tests.
+(* The fused fast path (Section 10): equivalence tests.
 
    The contract under test is that [~fastpath:true] is purely an
    optimization — fused and unfused runs of the same scenario produce
@@ -7,17 +7,12 @@
    trigger flushes and view changes). On top of the equivalence
    sweeps, a live-world test asserts the path actually engages (the
    equivalence would otherwise be vacuous) and is invalidated and
-   recompiled across a view change; unit tests pin down the buffer
-   pool's accounting and — via quickcheck — that the segment-list
-   encoding is byte-for-byte the blit encoding. *)
+   recompiled across a view change. *)
 
 open Horus
 module Runner = Horus_check.Runner
 module Repro = Horus_check.Repro
 module Metrics = Horus_obs.Metrics
-module Msg = Horus_msg.Msg
-module Pool = Horus_msg.Pool
-module Seg = Horus_msg.Seg
 
 (* --- fused/unfused fingerprint equivalence over committed repros --- *)
 
@@ -166,103 +161,6 @@ let test_fastpath_off_by_default () =
   Alcotest.(check int) "no fused sends" 0 (count "fastpath.send_fused");
   Alcotest.(check int) "no compiles" 0 (count "fastpath.compiles")
 
-(* --- buffer pool accounting --- *)
-
-let test_pool_reuse () =
-  let p = Pool.create ~block:8 ~limit:2 () in
-  let b1 = Pool.acquire p in
-  Alcotest.(check int) "blocks are block-sized" 8 (Bytes.length b1);
-  Alcotest.(check int) "first acquire misses" 1 (Pool.misses p);
-  Pool.release p b1;
-  Alcotest.(check int) "released block retained" 1 (Pool.in_pool p);
-  let b2 = Pool.acquire p in
-  Alcotest.(check bool) "the same block comes back" true (b2 == b1);
-  Alcotest.(check int) "second acquire hits" 1 (Pool.hits p);
-  Alcotest.(check int) "free list drained" 0 (Pool.in_pool p)
-
-let test_pool_limits () =
-  let p = Pool.create ~block:8 ~limit:2 () in
-  let bs = List.init 3 (fun _ -> Pool.acquire p) in
-  List.iter (Pool.release p) bs;
-  Alcotest.(check int) "free list capped at limit" 2 (Pool.in_pool p);
-  Alcotest.(check int) "overflow release discarded" 1 (Pool.discards p);
-  Pool.release p (Bytes.create 16);
-  Alcotest.(check int) "foreign-size release discarded" 2 (Pool.discards p);
-  Alcotest.(check int) "foreign size never pooled" 2 (Pool.in_pool p)
-
-let test_seg_returns_block () =
-  let p = Pool.create () in
-  let s = Seg.of_msg p (Msg.create "payload") in
-  Seg.push_u32 s 7;
-  Seg.dispose s;
-  Seg.dispose s;
-  (* idempotent *)
-  Alcotest.(check int) "dispose returns the block once" 1 (Pool.in_pool p);
-  Alcotest.(check int) "no discards" 0 (Pool.discards p);
-  let s2 = Seg.of_msg p (Msg.create "again") in
-  Alcotest.(check int) "next segment recycles it" 1 (Pool.hits p);
-  Seg.dispose s2
-
-let test_seg_spill_keeps_pool_clean () =
-  (* A header stack that outgrows its block spills into a private
-     buffer; the displaced full-size block goes straight back to the
-     pool, and the spilled buffer is discarded on dispose — the pool
-     only ever holds full-size blocks. *)
-  let p = Pool.create ~block:4 () in
-  let s = Seg.of_msg p (Msg.create "x") in
-  Seg.push_u32 s 0xaabbccdd;
-  (* exactly fills the block *)
-  Alcotest.(check int) "still on the pooled block" 0 (Pool.in_pool p);
-  Seg.push_u32 s 0x11223344;
-  (* forces the spill *)
-  Alcotest.(check int) "displaced block returned on spill" 1 (Pool.in_pool p);
-  Alcotest.(check string) "spill preserved the written headers"
-    "\x11\x22\x33\x44\xaa\xbb\xcc\xddx" (Msg.to_string (Seg.to_msg s));
-  Seg.dispose s;
-  Alcotest.(check int) "spilled buffer discarded" 1 (Pool.discards p);
-  Alcotest.(check int) "pool holds only full-size blocks" 1 (Pool.in_pool p)
-
-(* --- quickcheck: segment-list encode = blit encode --- *)
-
-(* A random header program: (kind, value) pairs. Applying the same
-   program to a Msg (reserve/blit pushes) and a Seg (pooled block,
-   zero-copy body) must produce identical bytes — including when the
-   program outgrows the 64-byte pooled block and spills. *)
-let header_ops =
-  QCheck.(
-    pair printable_string
-      (list_of_size Gen.(0 -- 40) (pair (int_bound 3) (int_bound 0xffffff))))
-
-let apply_msg m (k, v) =
-  match k with
-  | 0 -> Msg.push_u8 m v
-  | 1 -> Msg.push_u16 m v
-  | 2 -> Msg.push_u32 m v
-  | _ -> Msg.push_bool m (v land 1 = 1)
-
-let apply_seg s (k, v) =
-  match k with
-  | 0 -> Seg.push_u8 s v
-  | 1 -> Seg.push_u16 s v
-  | 2 -> Seg.push_u32 s v
-  | _ -> Seg.push_bool s (v land 1 = 1)
-
-let prop_seg_matches_blit =
-  QCheck.Test.make ~name:"seg: segment-list encode = blit encode" ~count:500
-    header_ops
-    (fun (payload, ops) ->
-       let m = Msg.create payload in
-       List.iter (apply_msg m) ops;
-       let pool = Pool.create () in
-       let s = Seg.of_msg pool (Msg.create payload) in
-       List.iter (apply_seg s) ops;
-       let ok =
-         Seg.length s = Msg.length m
-         && Msg.equal (Seg.to_msg s) m
-       in
-       Seg.dispose s;
-       ok)
-
 let () =
   let repro_cases = List.map repro_equivalence_case (Repro.load_dir "repros") in
   Alcotest.run "fastpath"
@@ -273,13 +171,4 @@ let () =
       ( "live-world",
         [ Alcotest.test_case "view change: fallback, recompile, equivalence" `Slow
             test_view_change_equivalence;
-          Alcotest.test_case "off by default" `Slow test_fastpath_off_by_default ] );
-      ( "pool",
-        [ Alcotest.test_case "acquire/release reuse" `Quick test_pool_reuse;
-          Alcotest.test_case "limit and foreign-size discards" `Quick
-            test_pool_limits;
-          Alcotest.test_case "segment returns its block" `Quick
-            test_seg_returns_block;
-          Alcotest.test_case "spill keeps the pool clean" `Quick
-            test_seg_spill_keeps_pool_clean ] );
-      ("encode", [ QCheck_alcotest.to_alcotest prop_seg_matches_blit ]) ]
+          Alcotest.test_case "off by default" `Slow test_fastpath_off_by_default ] ) ]

@@ -180,31 +180,6 @@ let e7_pay_for_what_you_use () =
      can), composing like any other layer.@."
 
 (* ------------------------------------------------------------------ *)
-(* E10 / Section 10 item 3: header push/pop vs compacted headers       *)
-(* ------------------------------------------------------------------ *)
-
-let e10_header_compaction () =
-  section "E10" "Section 10(3): per-layer headers vs precomputed compacted header";
-  let fields =
-    [ Horus_msg.Compact.field ~layer:"FRAG" ~name:"more" ~bits:1;
-      Horus_msg.Compact.field ~layer:"NAK" ~name:"epoch" ~bits:16;
-      Horus_msg.Compact.field ~layer:"NAK" ~name:"seq" ~bits:24;
-      Horus_msg.Compact.field ~layer:"MBRSHIP" ~name:"seq" ~bits:24;
-      Horus_msg.Compact.field ~layer:"TOTAL" ~name:"gseq" ~bits:24;
-      Horus_msg.Compact.field ~layer:"COM" ~name:"src" ~bits:16;
-      Horus_msg.Compact.field ~layer:"COM" ~name:"kind" ~bits:3 ]
-  in
-  let layout = Horus_msg.Compact.layout fields in
-  let padded = Horus_msg.Compact.padded_bytes fields in
-  let compact = Horus_msg.Compact.total_bytes layout in
-  Format.printf "header bytes on the wire: word-aligned per layer = %d, compacted = %d (%.0f%% saved)@."
-    padded compact
-    (100.0 *. (1.0 -. (float_of_int compact /. float_of_int padded)));
-  Format.printf
-    "shape check: compaction removes the alignment padding the paper@.\
-     complains about.@."
-
-(* ------------------------------------------------------------------ *)
 (* E11 / Section 9-10: STABLE vs PINWHEEL economics                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -714,7 +689,6 @@ let experiments =
     ("E5", true, e5_flush_latency);
     ("E7", true, e7_pay_for_what_you_use);
     ("E7b", false, e_total_latency);
-    ("E10", true, e10_header_compaction);
     ("E11", false, e11_stability);
     ("E12", false, e12_membership_ablation);
     ("E13", false, e13_detection_ablation);

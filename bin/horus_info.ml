@@ -1047,7 +1047,7 @@ let node_cmd =
             let driver =
               (* Mailbox posts cannot wake a sleeping driver: tick fast
                  enough that cross-shard latency stays bounded. *)
-              Transport.Driver.create ~max_tick:Transport.Defaults.shard_tick ~shards
+              Transport.Driver.create ~max_tick:Transport.Defaults.shard_tick
                 (World.engine world) [ backend ]
             in
             node_member ~world ~driver ~link ~backend ~peers:book ~source:"static"

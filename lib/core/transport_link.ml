@@ -19,16 +19,11 @@
      as the directory client can claim a gid on the same socket with
      [route_raw].
 
-   Receiving copies a datagram's payload at most once. A datagram
-   handed to the plain rx callback belongs to the link (the
-   [Backend.rx] contract), so the stack's [Msg] adopts it in place: the
-   spent frame header becomes headroom, and no byte is copied. When
-   the backend offers a batched rx path, the link also installs an
-   [rx_view] that decodes straight out of the backend's reusable
-   buffer ring via [Frame.decode_view]; that path copies the payload
-   once, into the stack's [Msg], since the ring is not ours to keep.
-   Going out, a datagram is framed once and the same bytes go to every
-   destination.
+   Receiving copies no byte. A datagram handed to the rx callback
+   belongs to the link (the [Backend.rx] contract, on scalar and
+   batched drains alike), so the stack's [Msg] adopts it in place: the
+   spent frame header becomes headroom. Going out, a datagram is
+   framed once and the same bytes go to every destination.
 
    Frames whose gid matches no local group are dropped and counted in
    the [transport.unknown_gid] metric; garbled or truncated frames are
@@ -68,45 +63,30 @@ let create ?(prefix = "transport") world =
 let unknown_gid t = t.unknown_gid
 
 (* Demux one decoded frame: a raw route or the owning endpoint from the
-   group table. The payload is bytes [poff .. poff + plen) of [buf]. An
-   [owned] buffer is the link's to keep, and the stack's message adopts
-   it; a borrowed one (a backend's rx ring) is copied out once. *)
-let dispatch t mux ~src ~owned hdr buf poff plen =
+   group table. The payload is bytes [poff .. poff + plen) of [frame],
+   which the link owns, so the stack's message adopts it. *)
+let dispatch t mux ~src hdr frame poff plen =
   let gid = Addr.group_id hdr.T.Frame.h_group in
   match Hashtbl.find_opt mux.mx_raw gid with
-  | Some handler -> handler ~src (Bytes.sub buf poff plen)
+  | Some handler -> handler ~src (Bytes.sub frame poff plen)
   | None -> (
-    let eid = Addr.endpoint_id hdr.T.Frame.h_src in
-    let deliver endpoint =
-      let m =
-        if owned then Msg.adopt buf ~off:poff ~len:plen else Msg.of_sub buf ~off:poff ~len:plen
-      in
+    match Hashtbl.find_opt mux.mx_groups gid with
+    | Some endpoint ->
+      let eid = Addr.endpoint_id hdr.T.Frame.h_src in
+      let m = Msg.adopt frame ~off:poff ~len:plen in
       if not (Endpoint.deliver_routed endpoint ~gid ~src:eid m) then
         t.unknown_gid <- t.unknown_gid + 1
-    in
-    match Hashtbl.find_opt mux.mx_groups gid with
-    | Some endpoint -> deliver endpoint
     | None -> t.unknown_gid <- t.unknown_gid + 1)
 
 (* Shared rx for a socket: decode once, then demux on the frame gid.
    Trust the authenticated-by-CRC header's src over the socket
-   address: the peer book names ranks, the kernel names ports. Both
-   entries are installed — the ring view for batched drains (the
-   backend ignores it if it has none), the plain callback, whose
-   datagram the link owns, for scalar drains. *)
+   address: the peer book names ranks, the kernel names ports. *)
 let install_rx t mux =
   let stats = mux.mx_backend.T.Backend.stats in
-  let on_rx ~src frame =
-    match T.Frame.decode_view frame ~off:0 ~len:(Bytes.length frame) with
-    | Ok (hdr, poff, plen) -> dispatch t mux ~src ~owned:true hdr frame poff plen
-    | Error _ -> stats.T.Backend.bad_frame <- stats.T.Backend.bad_frame + 1
-  in
-  mux.mx_backend.T.Backend.set_rx on_rx;
-  ignore
-    (T.Backend.set_rx_view mux.mx_backend (fun ~src ~buf ~off ~len ->
-         match T.Frame.decode_view buf ~off ~len with
-         | Ok (hdr, poff, plen) -> dispatch t mux ~src ~owned:false hdr buf poff plen
-         | Error _ -> stats.T.Backend.bad_frame <- stats.T.Backend.bad_frame + 1))
+  mux.mx_backend.T.Backend.set_rx (fun ~src frame ->
+      match T.Frame.decode_view frame ~off:0 ~len:(Bytes.length frame) with
+      | Ok (hdr, poff, plen) -> dispatch t mux ~src hdr frame poff plen
+      | Error _ -> stats.T.Backend.bad_frame <- stats.T.Backend.bad_frame + 1)
 
 let mux t ~backend ~peers =
   let m =

@@ -141,8 +141,14 @@ let parse_string_body c =
        | Some 'f' -> Buffer.add_char buf '\012'; advance c
        | Some 'u' ->
          advance c;
-         if c.pos + 4 > String.length c.src then fail c "bad \\u escape";
-         let code = int_of_string ("0x" ^ String.sub c.src c.pos 4) in
+         let hex i =
+           match if c.pos + i < String.length c.src then c.src.[c.pos + i] else ' ' with
+           | '0' .. '9' as d -> Char.code d - Char.code '0'
+           | 'a' .. 'f' as d -> Char.code d - Char.code 'a' + 10
+           | 'A' .. 'F' as d -> Char.code d - Char.code 'A' + 10
+           | _ -> fail c "bad \\u escape"
+         in
+         let code = (hex 0 lsl 12) lor (hex 1 lsl 8) lor (hex 2 lsl 4) lor hex 3 in
          c.pos <- c.pos + 4;
          (* Only the code points the emitter writes (< 0x80) matter; map
             the rest through a UTF-8 encoder for completeness. *)

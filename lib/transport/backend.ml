@@ -26,21 +26,16 @@ let fresh_stats () =
 
 type rx = src:string -> Bytes.t -> unit
 
-type rx_view = src:string -> buf:Bytes.t -> off:int -> len:int -> unit
-
 (* The batched extension point. Backends that can move many datagrams
    per syscall (Udp over recvmmsg/sendmmsg) publish one of these;
-   everyone else leaves it [None] and the [flush]/[set_rx_view]
-   helpers below degrade to the scalar path, so Loopback and Chaos are
-   untouched. A batched backend may *stage* sends until the
-   next [flush] (drivers flush once per pump); its rx side may hand
-   frames to an installed [rx_view] as (buffer, offset, length) views
-   into a reusable ring instead of one fresh [Bytes.t] per datagram —
-   the view is only valid for the duration of the callback. *)
+   everyone else leaves it [None] and [flush] below is a no-op, so
+   Loopback and Chaos are untouched. A batched backend may *stage*
+   sends until the next [flush] (drivers flush once per pump); its rx
+   side drains many datagrams per syscall but hands each to the one
+   [rx] callback under the same ownership contract as a scalar drain. *)
 type batch = {
   bt_size : int;                       (* datagrams per syscall, both ways *)
   mutable bt_flush : unit -> unit;     (* push out staged sends now *)
-  mutable bt_rx_view : rx_view option; (* zero-copy rx, when the consumer opts in *)
   bt_rx_hist : int array;              (* rx batch-size counts; index = drained-1,
                                           capped at the last bucket *)
   bt_tx_hist : int array;              (* tx batch-size counts, same shape *)
@@ -63,17 +58,6 @@ type t = {
 }
 
 let flush t = match t.batch with Some b -> b.bt_flush () | None -> ()
-
-(* Opt in to zero-copy rx views. Returns false when the backend has no
-   batched rx path — the caller must rely on its ordinary [set_rx]
-   callback (which it should install in either case: scalar drains and
-   pre-attach flushes still go through it). *)
-let set_rx_view t f =
-  match t.batch with
-  | Some b ->
-    b.bt_rx_view <- Some f;
-    true
-  | None -> false
 
 (* Mirror the stats of a set of backends into a metrics registry as
    monotone counters (summed across the set), the same way Net exports

@@ -29,15 +29,9 @@ type rx = src:string -> Bytes.t -> unit
     ingestion and [Shard.bypass] at the post. {!Chaos} wraps only the
     sends, so its deliveries are the wrapped backend's. *)
 
-type rx_view = src:string -> buf:Bytes.t -> off:int -> len:int -> unit
-(** Zero-copy receive: the datagram is [len] bytes of [buf] starting
-    at [off], valid only for the duration of the callback — the
-    buffer belongs to a reusable ring. *)
-
 type batch = {
   bt_size : int;                       (** datagrams per syscall, both ways *)
   mutable bt_flush : unit -> unit;     (** push out staged sends now *)
-  mutable bt_rx_view : rx_view option; (** installed via {!set_rx_view} *)
   bt_rx_hist : int array;              (** rx batch-size counts; index =
                                            drained-1, capped at the last bucket *)
   bt_tx_hist : int array;              (** tx batch-size counts, same shape *)
@@ -46,9 +40,10 @@ type batch = {
 }
 (** The batched extension point: backends that can move many datagrams
     per syscall publish one; scalar backends leave {!t.batch} [None]
-    and the helpers below degrade to the scalar path. A batched
-    backend may stage sends until the next {!flush} — drivers flush
-    once per pump. *)
+    and {!flush} is a no-op for them. A batched backend may stage
+    sends until the next {!flush} — drivers flush once per pump. Its
+    receives still reach the one {!rx} callback, one datagram at a
+    time, on the same terms as a scalar drain. *)
 
 type t = {
   kind : string;           (** "udp", "loopback", ... *)
@@ -77,11 +72,6 @@ type t = {
 
 val flush : t -> unit
 (** Push out any staged sends; a no-op on scalar backends. *)
-
-val set_rx_view : t -> rx_view -> bool
-(** Opt in to zero-copy rx views. [false] means the backend has no
-    batched rx path; in either case the ordinary [set_rx] callback
-    must also be installed — scalar drains still go through it. *)
 
 val export_metrics : ?prefix:string -> t -> Horus_obs.Metrics.t -> unit
 (** Mirror the backend's stats into a registry as monotone

@@ -21,8 +21,8 @@ val create :
     (e.g. a heavy chaos delay queue) cannot degrade the idle loop into
     a 0-timeout busy spin.
 
-    [shards] (default 1) records which of how many shards this driver
-    serves — informational, surfaced by {!shards} for reports. A
+    [shards] (default 1) is only stored and handed back by {!shards};
+    the driver itself never reads it, and no report prints it. A
     sharded driver's backend is its {!Shard.bypass}, whose [poll]
     drains the inter-shard mailboxes. Mailbox posts cannot wake a
     driver sleeping in poll(2), so sharded drivers should run with a

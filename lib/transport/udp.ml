@@ -25,10 +25,10 @@
    kernel in batches (recvmmsg/sendmmsg, one syscall per batch): sends
    stage into a tx ring by reference and go out on the next
    [Backend.flush] (drivers flush once per pump) or when the ring
-   fills; receives drain into a reusable rx buffer ring, handed to an
-   installed [rx_view] as views (no per-datagram allocation) or to the
-   plain rx callback as exact-size copies. When the stubs report
-   Unsupported (non-Linux, ENOSYS) every path falls back to the scalar
+   fills; receives drain into a reusable rx buffer ring, and each
+   datagram goes to the rx callback as an exact-size copy of its slot,
+   as the scalar drain does. When the stubs report Unsupported
+   (non-Linux, ENOSYS) every path falls back to the scalar
    sendto/recvfrom loop — behaviourally identical, just slower.
 
    Errors never escape a call. Full socket buffers count as drops.
@@ -168,7 +168,6 @@ let create ?(batch = 0) ~bind () =
       Some
         { Backend.bt_size = batch;
           bt_flush = (fun () -> ());  (* replaced below, after flush_tx exists *)
-          bt_rx_view = None;
           bt_rx_hist = Array.make batch 0;
           bt_tx_hist = Array.make batch 0;
           bt_rx_syscalls = 0;
@@ -272,17 +271,11 @@ let create ?(batch = 0) ~bind () =
         for i = 0 to n - 1 do
           let len = rlens.(i) in
           stats.Backend.bytes_received <- stats.Backend.bytes_received + len;
-          let src = src_string rips.(i) rports.(i) in
-          match b.Backend.bt_rx_view with
+          match !rx with
           | Some f ->
             stats.Backend.delivered <- stats.Backend.delivered + 1;
-            f ~src ~buf:rbufs.(i) ~off:0 ~len
-          | None ->
-            (match !rx with
-             | Some f ->
-               stats.Backend.delivered <- stats.Backend.delivered + 1;
-               f ~src (Bytes.sub rbufs.(i) 0 len)
-             | None -> stats.Backend.dropped <- stats.Backend.dropped + 1)
+            f ~src:(src_string rips.(i) rports.(i)) (Bytes.sub rbufs.(i) 0 len)
+          | None -> stats.Backend.dropped <- stats.Backend.dropped + 1
         done;
         drained := !drained + n;
         if n < batch then continue := false
@@ -301,11 +294,7 @@ let create ?(batch = 0) ~bind () =
     (* No rx consumer yet: leave datagrams in the kernel buffer rather
        than reading and discarding them, so frames that arrive before
        the stack attaches survive until it does. *)
-    if !closed || (!rx = None
-                   && (match batch_rec with
-                       | Some b -> b.Backend.bt_rx_view = None
-                       | None -> true))
-    then 0
+    if !closed || !rx = None then 0
     else
       match batch_rec with
       | Some b when Sysops.mmsg_available () -> poll_batched b

@@ -21,7 +21,8 @@ val create : ?batch:int -> bind:string -> unit -> Backend.t
     sends stage into a tx ring (flushed by {!Backend.flush}, which
     drivers call once per pump, or when the ring fills) and go out via
     [sendmmsg]; receives drain [batch] at a time via [recvmmsg] into a
-    reusable buffer ring, delivered zero-copy to an installed
-    {!Backend.rx_view}. Where the kernel lacks the mmsg syscalls the
-    backend transparently falls back to the scalar path. [batch = 0]
-    is exactly the scalar backend. *)
+    reusable buffer ring, and each datagram reaches the rx callback as
+    an exact-size copy of its ring slot, as on the scalar path. Where
+    the kernel lacks the mmsg syscalls the backend transparently falls
+    back to the scalar path. [batch = 0] is exactly the scalar
+    backend. *)

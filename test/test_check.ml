@@ -142,6 +142,72 @@ let test_scenario_walk_field () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "walk seed accepted"
 
+(* --- decoders under byte mutation --- *)
+
+(* Seeded mutants of the committed repros and of a chaos profile: byte
+   flips, truncations, insertions (biased toward JSON's own syntax, so
+   escapes, numbers and brackets get hit) and splices of one corpus
+   into another. Every decoder answers [Ok] or [Error]; none raises. *)
+let test_decoders_never_raise () =
+  let repros =
+    Sys.readdir "repros" |> Array.to_list |> List.sort compare
+    |> List.filter (fun f -> Filename.check_suffix f ".json")
+    |> List.map (fun f -> In_channel.with_open_bin (Filename.concat "repros" f) In_channel.input_all)
+  in
+  let profile =
+    {|{ "drop": 0.05, "duplicate": 0.01, "reorder": 0.05, "reorder_window": 4,
+        "partitions": [ { "from": 1, "to": 0, "start": 4.0, "stop": 6.5 } ] }|}
+  in
+  let decoders =
+    [ ("Json.of_string", fun s -> ignore (Horus_obs.Json.of_string s));
+      ("Scenario.of_string", fun s -> ignore (Scenario.of_string s));
+      ("Chaos.profile_of_string", fun s -> ignore (Horus_transport.Chaos.profile_of_string s)) ]
+  in
+  let check s =
+    List.iter
+      (fun (name, decode) ->
+         match decode s with
+         | () -> ()
+         | exception e ->
+           Alcotest.failf "%s raised %s on %S" name (Printexc.to_string e) s)
+      decoders
+  in
+  List.iter check [ {|"\uzzzz"|}; {|"\u12"|}; {|"\u_123"|}; {|{"name": "\u00zz"}|} ];
+  let corpus = Array.of_list (profile :: repros) in
+  let rng = Random.State.make [| 21 |] in
+  let syntax = {|"\u{}[],:-+.eE0123456789 ntf|} in
+  let mutate s =
+    let n = String.length s in
+    let at () = Random.State.int rng (n + 1) in
+    match Random.State.int rng 4 with
+    | 0 when n > 0 ->
+      let b = Bytes.of_string s in
+      let i = Random.State.int rng n in
+      Bytes.set b i (Char.chr (Char.code s.[i] lxor (1 lsl Random.State.int rng 8)));
+      Bytes.to_string b
+    | 1 -> String.sub s 0 (at ())
+    | 2 ->
+      let i = at () in
+      let c =
+        if Random.State.bool rng then syntax.[Random.State.int rng (String.length syntax)]
+        else Char.chr (Random.State.int rng 256)
+      in
+      String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+    | _ ->
+      let donor = corpus.(Random.State.int rng (Array.length corpus)) in
+      let d = Random.State.int rng (String.length donor + 1) in
+      let len = Random.State.int rng (String.length donor - d + 1) in
+      let i = at () in
+      String.sub s 0 i ^ String.sub donor d len ^ String.sub s i (n - i)
+  in
+  Array.iter
+    (fun seed ->
+       for _ = 1 to 500 do
+         let rec go s k = if k = 0 then s else go (mutate s) (k - 1) in
+         check (go seed (1 + Random.State.int rng 4))
+       done)
+    corpus
+
 (* --- the Figure 2 flush race, live --- *)
 
 (* D (member 3) casts M and crashes; the copies toward A and B are in
@@ -389,7 +455,9 @@ let () =
         [ Alcotest.test_case "json round trip" `Quick test_scenario_roundtrip;
           Alcotest.test_case "walk seed rejected" `Quick test_scenario_walk_field;
           Alcotest.test_case "bad member index rejected" `Quick
-            test_scenario_rejects_bad_member ] );
+            test_scenario_rejects_bad_member;
+          Alcotest.test_case "decoders never raise on mutated input" `Quick
+            test_decoders_never_raise ] );
       ( "explorer",
         [ Alcotest.test_case "finds the flush race (rule off)" `Slow
             test_explorer_finds_flush_race;

@@ -1,5 +1,4 @@
-(* Tests for addresses, the message object, wire codecs, and compacted
-   headers. *)
+(* Tests for addresses, the message object and wire codecs. *)
 
 open Horus_msg
 
@@ -203,85 +202,6 @@ let prop_wire_int_list =
        Wire.push_int_list m l;
        Wire.pop_int_list m = l)
 
-(* --- Compact --- *)
-
-let test_compact_layout_sizes () =
-  let fields =
-    [ Compact.field ~layer:"FRAG" ~name:"more" ~bits:1;
-      Compact.field ~layer:"NAK" ~name:"seq" ~bits:20;
-      Compact.field ~layer:"COM" ~name:"src" ~bits:16 ]
-  in
-  let l = Compact.layout fields in
-  Alcotest.(check int) "total bits" 37 (Compact.total_bits l);
-  Alcotest.(check int) "total bytes" 5 (Compact.total_bytes l);
-  (* The conventional scheme word-aligns each header: 4 + 4 + 4. *)
-  Alcotest.(check int) "padded bytes" 12 (Compact.padded_bytes fields)
-
-let test_compact_write_read () =
-  let fields =
-    [ Compact.field ~layer:"A" ~name:"x" ~bits:1;
-      Compact.field ~layer:"B" ~name:"y" ~bits:13;
-      Compact.field ~layer:"C" ~name:"z" ~bits:33 ]
-  in
-  let l = Compact.layout fields in
-  let buf = Compact.alloc l in
-  Compact.set l buf ~slot:0 1L;
-  Compact.set l buf ~slot:1 5000L;
-  Compact.set l buf ~slot:2 0x1_FFFF_FFFFL;
-  Alcotest.(check int64) "x" 1L (Compact.get l buf ~slot:0);
-  Alcotest.(check int64) "y" 5000L (Compact.get l buf ~slot:1);
-  Alcotest.(check int64) "z" 0x1_FFFF_FFFFL (Compact.get l buf ~slot:2)
-
-let test_compact_find () =
-  let fields = [ Compact.field ~layer:"NAK" ~name:"seq" ~bits:16 ] in
-  let l = Compact.layout fields in
-  Alcotest.(check int) "found" 0 (Compact.find l ~layer:"NAK" ~name:"seq");
-  Alcotest.(check bool) "missing raises" true
-    (try ignore (Compact.find l ~layer:"X" ~name:"y"); false with Invalid_argument _ -> true)
-
-let test_compact_duplicate_rejected () =
-  let f = Compact.field ~layer:"A" ~name:"x" ~bits:4 in
-  Alcotest.(check bool) "duplicate" true
-    (try ignore (Compact.layout [ f; f ]); false with Invalid_argument _ -> true)
-
-let test_compact_neighbours_unclobbered () =
-  let fields =
-    [ Compact.field ~layer:"A" ~name:"a" ~bits:3;
-      Compact.field ~layer:"B" ~name:"b" ~bits:5;
-      Compact.field ~layer:"C" ~name:"c" ~bits:3 ]
-  in
-  let l = Compact.layout fields in
-  let buf = Compact.alloc l in
-  Compact.set l buf ~slot:0 7L;
-  Compact.set l buf ~slot:2 5L;
-  Compact.set l buf ~slot:1 0L;
-  Compact.set l buf ~slot:1 31L;
-  Alcotest.(check int64) "a survives" 7L (Compact.get l buf ~slot:0);
-  Alcotest.(check int64) "c survives" 5L (Compact.get l buf ~slot:2);
-  Alcotest.(check int64) "b set" 31L (Compact.get l buf ~slot:1)
-
-let prop_compact_roundtrip =
-  QCheck.Test.make ~name:"compact write/read roundtrip" ~count:300
-    QCheck.(list_of_size Gen.(1 -- 10) (pair (int_range 1 48) (int_bound max_int)))
-    (fun specs ->
-       let fields =
-         List.mapi (fun i (bits, _) -> Compact.field ~layer:"L" ~name:(string_of_int i) ~bits) specs
-       in
-       let l = Compact.layout fields in
-       let buf = Compact.alloc l in
-       let values =
-         List.mapi
-           (fun i (bits, v) ->
-              let mask = Int64.sub (Int64.shift_left 1L bits) 1L in
-              let v64 = Int64.logand (Int64.of_int v) mask in
-              Compact.set l buf ~slot:i v64;
-              v64)
-           specs
-       in
-       List.for_all2 (fun i v -> Compact.get l buf ~slot:i = v)
-         (List.init (List.length values) (fun i -> i))
-         values)
-
 let () =
   Alcotest.run "msg"
     [ ( "addr",
@@ -305,11 +225,4 @@ let () =
         [ Alcotest.test_case "endpoint roundtrip" `Quick test_wire_endpoint_roundtrip;
           Alcotest.test_case "list roundtrip" `Quick test_wire_list_roundtrip;
           Alcotest.test_case "empty list" `Quick test_wire_empty_list;
-          QCheck_alcotest.to_alcotest prop_wire_int_list ] );
-      ( "compact",
-        [ Alcotest.test_case "layout sizes" `Quick test_compact_layout_sizes;
-          Alcotest.test_case "write read" `Quick test_compact_write_read;
-          Alcotest.test_case "find" `Quick test_compact_find;
-          Alcotest.test_case "duplicate rejected" `Quick test_compact_duplicate_rejected;
-          Alcotest.test_case "neighbours unclobbered" `Quick test_compact_neighbours_unclobbered;
-          QCheck_alcotest.to_alcotest prop_compact_roundtrip ] ) ]
+          QCheck_alcotest.to_alcotest prop_wire_int_list ] ) ]

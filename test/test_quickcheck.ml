@@ -184,74 +184,6 @@ let prop_search_cost_no_worse_than_enumeration =
            (fun stack -> Horus_props.Check.total_cost stack >= r.Horus_props.Search.cost)
            enumerated)
 
-(* --- Compact headers (Section 10, remedy 3) --- *)
-
-module Compact = Horus_msg.Compact
-
-(* A random layout: field i is ("L<i>", "f") with a random width, so
-   (layer, name) pairs are unique by construction; each field comes
-   with a random candidate value. *)
-let compact_fields =
-  QCheck.(list_of_size Gen.(1 -- 12) (pair (int_range 1 64) int64))
-
-let layout_of fields =
-  Compact.layout
-    (List.mapi
-       (fun i (bits, _) ->
-          Compact.field ~layer:("L" ^ string_of_int i) ~name:"f" ~bits)
-       fields)
-
-let mask bits v =
-  if bits >= 64 then v else Int64.logand v (Int64.sub (Int64.shift_left 1L bits) 1L)
-
-let prop_compact_set_get =
-  QCheck.Test.make ~name:"compact: write all slots, read all back (no slot overlap)"
-    ~count:300 compact_fields
-    (fun fields ->
-       let lay = layout_of fields in
-       let b = Compact.alloc lay in
-       (* Write every slot first, then read every slot: a get only
-          survives if no later set clobbered its bits. *)
-       List.iteri (fun i (bits, v) -> Compact.set lay b ~slot:i (mask bits v)) fields;
-       List.for_all
-         (fun (i, (bits, v)) -> Compact.get lay b ~slot:i = mask bits v)
-         (List.mapi (fun i f -> (i, f)) fields))
-
-let prop_compact_tight =
-  QCheck.Test.make ~name:"compact: layout is bit-tight and never beats padding"
-    ~count:300 compact_fields
-    (fun fields ->
-       let lay = layout_of fields in
-       let decl =
-         List.mapi
-           (fun i (bits, _) ->
-              Compact.field ~layer:("L" ^ string_of_int i) ~name:"f" ~bits)
-           fields
-       in
-       let bits = List.fold_left (fun acc (b, _) -> acc + b) 0 fields in
-       Compact.total_bits lay = bits
-       && Compact.total_bytes lay = ((bits + 7) / 8)
-       && Compact.slot_count lay = List.length fields
-       && Compact.padded_bytes decl >= Compact.total_bytes lay)
-
-let prop_compact_find =
-  QCheck.Test.make ~name:"compact: find returns the declaration slot" ~count:300
-    compact_fields
-    (fun fields ->
-       let lay = layout_of fields in
-       List.for_all
-         (fun i -> Compact.find lay ~layer:("L" ^ string_of_int i) ~name:"f" = i)
-         (List.init (List.length fields) (fun i -> i)))
-
-let prop_compact_bits_roundtrip =
-  QCheck.Test.make ~name:"compact: write_bits/read_bits roundtrip at any offset"
-    ~count:500
-    QCheck.(triple (int_range 0 100) (int_range 1 64) int64)
-    (fun (bit_offset, bits, v) ->
-       let b = Bytes.make 32 '\255' in
-       Compact.write_bits b ~bit_offset ~bits (mask bits v);
-       Compact.read_bits b ~bit_offset ~bits = mask bits v)
-
 (* --- Msg splitting --- *)
 
 let prop_msg_split_rejoin =
@@ -596,11 +528,6 @@ let () =
         [ QCheck_alcotest.to_alcotest prop_step_output_bounded;
           QCheck_alcotest.to_alcotest prop_step_includes_provides;
           QCheck_alcotest.to_alcotest prop_search_cost_no_worse_than_enumeration ] );
-      ( "compact",
-        [ QCheck_alcotest.to_alcotest prop_compact_set_get;
-          QCheck_alcotest.to_alcotest prop_compact_tight;
-          QCheck_alcotest.to_alcotest prop_compact_find;
-          QCheck_alcotest.to_alcotest prop_compact_bits_roundtrip ] );
       ( "msg",
         [ QCheck_alcotest.to_alcotest prop_msg_split_rejoin;
           QCheck_alcotest.to_alcotest prop_msg_aliases_model ] );

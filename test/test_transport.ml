@@ -126,43 +126,33 @@ let mutate b = function
       b
     end
 
-(* A transport stub with a batched rx path, so a link installs its
-   zero-copy view decoder on it and the test can feed that decoder
-   arbitrary views. *)
-let view_backend () =
-  let batch =
-    { T.Backend.bt_size = 1;
-      bt_flush = (fun () -> ());
-      bt_rx_view = None;
-      bt_rx_hist = [| 0 |];
-      bt_tx_hist = [| 0 |];
-      bt_rx_syscalls = 0;
-      bt_tx_syscalls = 0 }
-  in
+(* A transport stub that keeps the rx callback a link installs, so the
+   test can hand that callback arbitrary datagrams. *)
+let stub_backend () =
+  let rx = ref (fun ~src:_ _ -> ()) in
   ( { T.Backend.kind = "stub";
       local_addr = "stub:0";
       mtu = 65_507;
       send = (fun ~dest:_ _ -> ());
-      set_rx = (fun _ -> ());
+      set_rx = (fun f -> rx := f);
       fd = None;
       poll = (fun () -> 0);
       close = (fun () -> ());
       stats = T.Backend.fresh_stats ();
-      batch = Some batch },
-    batch )
+      batch = None },
+    fun ~src b -> !rx ~src b )
 
 (* Random bit flips, truncations, extensions and overwrites of a valid
    frame, presented at a random offset inside a larger dirty buffer:
    the decoder never raises, never points outside the view, and
-   rejects every mutant — which the link counts in [bad_frame] and
-   delivers to nobody. *)
+   rejects every mutant. Handed to the link's rx as its own datagram,
+   each mutant is counted in [bad_frame] and delivered to nobody. *)
 let prop_frame_fuzz =
-  let backend, batch = view_backend () in
+  let backend, rx = stub_backend () in
   let link = Transport_link.create (World.create ()) in
   let mux = Transport_link.mux link ~backend ~peers:(T.Peers.create ()) in
   let delivered = ref 0 in
   Transport_link.route_raw mux ~gid:3 (fun ~src:_ _ -> incr delivered);
-  let rx_view = Option.get batch.T.Backend.bt_rx_view in
   let gen =
     QCheck.Gen.(
       quad
@@ -197,7 +187,7 @@ let prop_frame_fuzz =
          match T.Frame.decode_view buf ~off ~len with Ok _ -> false | Error _ -> true
        in
        let bad0 = backend.T.Backend.stats.T.Backend.bad_frame and got0 = !delivered in
-       rx_view ~src:"fuzz" ~buf ~off ~len;
+       rx ~src:"fuzz" (Bytes.sub buf off len);
        in_view && rejected
        && backend.T.Backend.stats.T.Backend.bad_frame = bad0 + 1
        && !delivered = got0)

@@ -72,8 +72,7 @@ let e1_stack_assembly () =
              let stack =
                Horus_hcpi.Stack.create ~engine ~endpoint:(Addr.endpoint 0)
                  ~group:(Addr.group 0) ~prng:(Horus_util.Prng.create 1)
-                 ~transport:
-                   { Horus_hcpi.Layer.xmit = (fun ~dsts:_ _ -> ()); local_node = 0; mtu = 65536 }
+                 ~transport:{ Horus_hcpi.Layer.xmit = (fun ~dsts:_ _ -> ()) }
                  ~rendezvous:Horus_hcpi.Layer.null_rendezvous ~metrics
                  ~trace:(fun ~layer:_ ~category:_ _ -> ())
                  ~to_app:(fun _ -> ())

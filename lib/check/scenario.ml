@@ -360,7 +360,25 @@ let of_json j =
       | None | Some Json.Null -> Ok false
       | Some _ -> Error "expect_violation must be a bool"
     in
-    (* Sanity: member indices in range. *)
+    (* Sanity: reject values the runner would raise on. *)
+    let require ok msg = if ok then Ok () else Error msg in
+    let* () = require (n >= 1) "n must be at least 1" in
+    let* () =
+      Horus_layers.Init.register_all ();
+      match Horus_hcpi.Spec.resolve (Horus_hcpi.Spec.parse spec) with
+      | _ -> Ok ()
+      | exception Horus_hcpi.Spec.Parse_error e -> Error ("bad spec: " ^ e)
+    in
+    let* () =
+      require
+        (net.latency >= 0.0 && net.jitter >= 0.0
+         && List.for_all (fun (_, _, lat) -> lat >= 0.0) links)
+        "latencies and jitter must not be negative"
+    in
+    let* () =
+      require (Option.fold ~none:true ~some:(fun s -> s.s_width >= 1) sched)
+        "sched.width must be at least 1"
+    in
     let bad_member m = m < 0 || m >= n in
     if List.exists (fun o -> bad_member o.op_member) ops then
       Error "op references a member index out of range"

@@ -99,6 +99,11 @@ val schema : string
 
 val to_json : t -> Horus_obs.Json.t
 val of_json : Horus_obs.Json.t -> (t, string) result
+(** [Error] on a malformed field and on a scenario {!Runner.run} would
+    raise on: [n] < 1, a spec that does not resolve, a negative
+    latency or jitter, [sched.width] < 1, a member index out of
+    range. *)
+
 val to_string : t -> string
 (** Indented JSON; deterministic. *)
 

@@ -15,8 +15,6 @@
 open Horus_msg
 
 type attachment = {
-  a_kind : string;  (* "sim", "udp", "loopback" — for diagnostics *)
-  a_mtu : int;
   a_xmit : gid:int -> dsts:Addr.endpoint list -> Msg.t -> unit;
       (* one datagram to each of [dsts], framed once from the message's
          live bytes before returning *)
@@ -71,9 +69,7 @@ let sim_attachment t =
            frame [a_xmit] sent. *)
         deliver t ~gid ~src (Msg.of_sub payload ~off:4 ~len:(Bytes.length payload - 4))
       end);
-  { a_kind = "sim";
-    a_mtu = (Horus_sim.Net.config net).Horus_sim.Net.mtu;
-    a_xmit =
+  { a_xmit =
       (fun ~gid ~dsts m ->
          (* The net never mutates a datagram (garbling works on a
             copy), so every destination shares one framed buffer. *)
@@ -97,9 +93,7 @@ let create ?addr ?attach world ~spec =
       attachment =
         (* placeholder until the real attachment is built below; never
            observable because [create] replaces it before returning *)
-        { a_kind = "none";
-          a_mtu = 0;
-          a_xmit = (fun ~gid:_ ~dsts:_ _ -> ());
+        { a_xmit = (fun ~gid:_ ~dsts:_ _ -> ());
           a_crash = (fun () -> ()) };
       crashed = false;
       on_crash = [];
@@ -115,8 +109,6 @@ let addr t = t.addr
 let node t = Addr.endpoint_id t.addr
 
 let spec t = t.spec
-
-let kind t = t.attachment.a_kind
 
 let is_crashed t = t.crashed
 
@@ -140,9 +132,7 @@ let add_crash_hook t f = t.on_crash <- f :: t.on_crash
 (* The per-group transport handed to the stack's bottom layer: frames
    outgoing packets with the group id. *)
 let transport t ~gid : Horus_hcpi.Layer.transport =
-  { Horus_hcpi.Layer.xmit = (fun ~dsts m -> t.attachment.a_xmit ~gid ~dsts m);
-    local_node = node t;
-    mtu = t.attachment.a_mtu }
+  { Horus_hcpi.Layer.xmit = (fun ~dsts m -> t.attachment.a_xmit ~gid ~dsts m) }
 
 (* Crash the endpoint: the attachment stops carrying its traffic and all
    its stacks halt silently (a crashed process does not observe its own

@@ -12,8 +12,6 @@ open Horus_msg
 type t
 
 type attachment = {
-  a_kind : string;  (** ["sim"], ["udp"], ["loopback"] — diagnostics *)
-  a_mtu : int;
   a_xmit : gid:int -> dsts:Addr.endpoint list -> Msg.t -> unit;
   a_crash : unit -> unit;
 }
@@ -36,9 +34,6 @@ val addr : t -> Addr.endpoint
 val node : t -> int
 val spec : t -> Horus_hcpi.Spec.t
 
-val kind : t -> string
-(** The attachment kind. *)
-
 val is_crashed : t -> bool
 
 val crash : t -> unit
@@ -48,7 +43,9 @@ val crash : t -> unit
 val deliver : t -> gid:int -> src:int -> Msg.t -> unit
 (** Inject an incoming packet, routed to the stack joined to group
     [gid] (dropped if none, or if the endpoint has crashed).
-    Attachments call this from their receive path. *)
+    Attachments call this from their receive path. [src] must be the
+    sender's endpoint id: no envelope repeats it, so COM takes the
+    source address (P11) from it. *)
 
 val deliver_routed : t -> gid:int -> src:int -> Msg.t -> bool
 (** Like {!deliver}, but reports routability: [false] only when the

@@ -72,6 +72,8 @@ let dispatch t mux ~src hdr frame poff plen =
   | None -> (
     match Hashtbl.find_opt mux.mx_groups gid with
     | Some endpoint ->
+      (* The frame's source is the only copy of the sender's address
+         on the wire: COM takes P11 from it. *)
       let eid = Addr.endpoint_id hdr.T.Frame.h_src in
       let m = Msg.adopt frame ~off:poff ~len:plen in
       if not (Endpoint.deliver_routed endpoint ~gid ~src:eid m) then
@@ -129,9 +131,7 @@ let attach_mux _t mux endpoint : Endpoint.attachment =
          | _ -> ());
         bound := List.filter (fun g -> g <> gid) !bound
       end);
-  { Endpoint.a_kind = backend.T.Backend.kind;
-    a_mtu = backend.T.Backend.mtu - T.Frame.overhead;
-    a_xmit =
+  { Endpoint.a_xmit =
       (fun ~gid ~dsts m ->
          (* Backends treat sent bytes as immutable, so one frame, copied
             once out of the message's buffer, serves every

@@ -65,7 +65,7 @@ type up =
   | U_system_error of string                     (* system error report *)
   | U_exit                                       (* close down event *)
   | U_destroy                                    (* endpoint destroyed *)
-  | U_packet of int * Msg.t                      (* raw datagram from network node *)
+  | U_packet of int * Msg.t                      (* raw datagram from sender endpoint id *)
 
 let down_name = function
   | D_join _ -> "join"

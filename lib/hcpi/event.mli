@@ -58,7 +58,7 @@ type up =
   | U_system_error of string
   | U_exit                      (** close down event *)
   | U_destroy                   (** endpoint destroyed *)
-  | U_packet of int * Msg.t     (** raw datagram from network node (COM ingress) *)
+  | U_packet of int * Msg.t     (** raw datagram from sender endpoint id (COM ingress) *)
 
 val down_name : down -> string
 val up_name : up -> string

@@ -17,11 +17,7 @@ open Horus_msg
    transport frames them once, straight out of the message's buffer,
    into a buffer of its own before it returns. The message stays the
    caller's, unread after the call and never modified. *)
-type transport = {
-  xmit : dsts:Addr.endpoint list -> Msg.t -> unit;
-  local_node : int;
-  mtu : int;
-}
+type transport = { xmit : dsts:Addr.endpoint list -> Msg.t -> unit }
 
 (* Resource-location service: group coordinators announce themselves so
    that merge layers can find foreign partitions. *)
@@ -66,11 +62,12 @@ type fastpath = {
       (* commit: push this layer's header(s) onto the application's
          message and apply the side effects the full down-path would
          have had — by running the same stamp code. *)
-  fp_deliver_check : rank:int -> meta:Event.meta -> Msg.t -> bool;
-      (* pop this layer's header(s) and decide whether the packet is
-         the undisturbed next-in-order cast. May stash scratch for the
-         commit; must not mutate outcome-visible state. *)
-  fp_deliver_commit : rank:int -> meta:Event.meta -> Msg.t -> unit;
+  fp_deliver_check : src:int -> Msg.t -> bool;
+      (* pop this layer's header(s) and decide whether the packet from
+         endpoint id [src] is the undisturbed next-in-order cast. May
+         stash scratch for the commit; must not mutate outcome-visible
+         state. *)
+  fp_deliver_commit : Msg.t -> unit;
       (* apply the side effects the full up-path would have had. *)
 }
 
@@ -83,20 +80,19 @@ type fp_bottom = {
       (* frame and transmit the cast, and deliver the sender's own
          copy through the normal queue when it is a destination:
          the full path's cast handler itself. *)
-  fpb_parse : Msg.t -> (int * Event.meta) option;
-      (* strip the envelope of an incoming packet; [Some (rank, meta)]
-         when it is a well-formed cast from a current member. Pure but
-         for pops. *)
-  fpb_parsed : unit -> unit;
-      (* commit for a fused delivery (e.g. bump the received
-         counter). *)
+  fpb_parse : src:int -> Msg.t -> int;
+      (* strip the envelope of a packet from endpoint id [src] (the
+         packet's node); the sender's rank when it is a well-formed
+         cast from a current member, else -1. Pure but for pops. *)
+  fpb_parsed : int -> Event.meta;
+      (* commit for a fused delivery from that rank (e.g. bump the
+         received counter); returns the delivery's meta. *)
 }
 
 type env = {
   engine : Horus_sim.Engine.t;
   endpoint : Addr.endpoint;
   group : Addr.group;
-  params : Params.t;
   prng : Horus_util.Prng.t;
   transport : transport;
   rendezvous : rendezvous;

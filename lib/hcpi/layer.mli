@@ -6,11 +6,7 @@
 
 open Horus_msg
 
-type transport = {
-  xmit : dsts:Addr.endpoint list -> Msg.t -> unit;
-  local_node : int;
-  mtu : int;
-}
+type transport = { xmit : dsts:Addr.endpoint list -> Msg.t -> unit }
 (** Best-effort datagram transport under the stack; used only by
     bottom adapter layers such as COM. [xmit ~dsts m] sends the live
     bytes of [m] as one datagram to each of [dsts]. The transport
@@ -41,32 +37,36 @@ val null_storage : storage
 type fastpath = {
   fp_send_ready : len:int -> bool;
   fp_send : Msg.t -> unit;
-  fp_deliver_check : rank:int -> meta:Event.meta -> Msg.t -> bool;
-  fp_deliver_commit : rank:int -> meta:Event.meta -> Msg.t -> unit;
+  fp_deliver_check : src:int -> Msg.t -> bool;
+  fp_deliver_commit : Msg.t -> unit;
 }
 (** One layer's compiled steady-state cast handling. Ready/check
     phases must be pure apart from pops on the message (restored on
     fallback); all mutation belongs in the commit phases, which must
     reproduce the full path's effects exactly. [fp_send] pushes the
     layer's header onto the same {!Msg.t} the full path would, with
-    the same stamp code. *)
+    the same stamp code. [fp_deliver_check ~src] gets the sender's
+    endpoint id. *)
 
 type fp_bottom = {
   fpb_send_ready : unit -> bool;
   fpb_cast : Msg.t -> unit;
-  fpb_parse : Msg.t -> (int * Event.meta) option;
-  fpb_parsed : unit -> unit;
+  fpb_parse : src:int -> Msg.t -> int;
+  fpb_parsed : int -> Event.meta;
 }
 (** The bottom adapter's compiled form: frame-and-transmit on the way
     down ([fpb_cast] is the full path's cast handler: it also hands
     the sender's own copy up through the normal queue when the sender
-    is a destination), envelope recognition on the way up. *)
+    is a destination), envelope recognition on the way up. The
+    adapter recovers P11 from the attachment, not the wire:
+    [fpb_parse ~src] gets the packet's node, the sender's endpoint id,
+    and returns the sender's rank, or -1 to decline. [fpb_parsed rank]
+    commits the delivery and returns its meta. *)
 
 type env = {
   engine : Horus_sim.Engine.t;
   endpoint : Addr.endpoint;
   group : Addr.group;
-  params : Params.t;
   prng : Horus_util.Prng.t;
   transport : transport;
   rendezvous : rendezvous;

@@ -225,7 +225,11 @@ let fp_try_send t m =
          true
        end
 
-let fp_try_deliver t m =
+(* The layers' delivery votes, from index [i] (the bottom) up. *)
+let rec fp_deliver_check (fps : Layer.fastpath array) ~src m i =
+  i < 0 || (fps.(i).Layer.fp_deliver_check ~src m && fp_deliver_check fps ~src m (i - 1))
+
+let fp_try_deliver t ~src m =
   fp_ready t
   && match t.fp_path with
      | None -> false
@@ -233,41 +237,33 @@ let fp_try_deliver t m =
        let mark = Horus_msg.Msg.mark m in
        let nf = Array.length p.fps in
        (* Check phase: pops only. The bottom adapter strips the
-          envelope, then each layer (bottom to top) pops its own
-          headers and votes. A short or foreign packet simply falls
-          back — the full stack re-parses from the restored mark. *)
-       let verdict =
+          envelope and names the sender's rank, then the layers vote.
+          A short or foreign packet simply falls back — the full stack
+          re-parses from the restored mark. *)
+       let rank =
          try
-           match p.fpb.Layer.fpb_parse m with
-           | None -> None
-           | Some (rank, meta) ->
-             let ok = ref true in
-             let i = ref (nf - 1) in
-             while !ok && !i >= 0 do
-               if not (p.fps.(!i).Layer.fp_deliver_check ~rank ~meta m) then
-                 ok := false;
-               decr i
-             done;
-             if !ok then Some (rank, meta) else None
-         with Horus_msg.Msg.Truncated _ -> None
+           let rank = p.fpb.Layer.fpb_parse ~src m in
+           if rank >= 0 && fp_deliver_check p.fps ~src m (nf - 1) then rank else -1
+         with Horus_msg.Msg.Truncated _ -> -1
        in
-       (match verdict with
-        | None ->
-          Horus_msg.Msg.restore m mark;
-          false
-        | Some (rank, meta) ->
-          (* Commit phase, in full-path effect order: bottom first. *)
-          p.fpb.Layer.fpb_parsed ();
-          for j = nf - 1 downto 0 do
-            p.fps.(j).Layer.fp_deliver_commit ~rank ~meta m
-          done;
-          (match t.fp_obs with
-           | Some o ->
-             Horus_obs.Metrics.incr o.fp_deliver_fused;
-             Horus_obs.Metrics.observe o.fp_crossings (float_of_int (nf + 1))
-           | None -> ());
-          t.to_app (Event.U_cast (rank, m, meta));
-          true)
+       if rank < 0 then begin
+         Horus_msg.Msg.restore m mark;
+         false
+       end
+       else begin
+         (* Commit phase, in full-path effect order: bottom first. *)
+         let meta = p.fpb.Layer.fpb_parsed rank in
+         for j = nf - 1 downto 0 do
+           p.fps.(j).Layer.fp_deliver_commit m
+         done;
+         (match t.fp_obs with
+          | Some o ->
+            Horus_obs.Metrics.incr o.fp_deliver_fused;
+            Horus_obs.Metrics.observe o.fp_crossings (float_of_int (nf + 1))
+          | None -> ());
+         t.to_app (Event.U_cast (rank, m, meta));
+         true
+       end
 
 let create ~engine ~endpoint ~group ~prng ~transport ~rendezvous
     ?(storage = Layer.null_storage) ?(fastpath = false)
@@ -329,7 +325,7 @@ let create ~engine ~endpoint ~group ~prng ~transport ~rendezvous
           if not t.destroyed then enqueue t (Thunk f))
     in
     let env =
-      { Layer.engine; endpoint; group; params;
+      { Layer.engine; endpoint; group;
         prng = Horus_util.Prng.copy prng;
         transport; rendezvous; storage; metrics; emit_up; emit_down; set_timer;
         trace = (fun ~category detail -> trace ~layer:name ~category detail);
@@ -369,7 +365,7 @@ let down t ev =
    try the fused delivery path first. *)
 let inject_up t ev =
   let fused =
-    match ev with Event.U_packet (_, m) -> fp_try_deliver t m | _ -> false
+    match ev with Event.U_packet (src, m) -> fp_try_deliver t ~src m | _ -> false
   in
   if not fused then begin
     (match ev, t.fp_obs with

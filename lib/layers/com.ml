@@ -2,15 +2,17 @@
 
    COM translates the raw best-effort network (property P1) into the
    Common Protocol Interface. Going down, it stamps each message with a
-   small envelope — magic, length, kind, source endpoint — and hands
-   the message to the transport, which frames its live bytes once, as
-   one datagram for every destination. The sender's own copy is the
-   message itself: once the transport returns, COM strips the envelope
-   again and delivers it locally. Coming up, it verifies the envelope
-   (P10: gross corruption, truncation and byte reordering are caught by
-   the magic/length check), recovers the source address (P11), filters
-   casts from endpoints outside the current destination set, and
-   delivers U_cast / U_send with the source's rank.
+   small envelope — magic, length, kind — and hands the message to the
+   transport, which frames its live bytes once, as one datagram for
+   every destination. The sender's own copy is the message itself:
+   once the transport returns, COM strips the envelope again and
+   delivers it locally. Coming up, it verifies the envelope (P10: gross
+   corruption, truncation and byte reordering are caught by the
+   magic/length check), recovers the source address (P11) from the
+   packet's node, which every attachment sets to the sender's endpoint
+   id (so the envelope need not repeat it), filters casts from
+   endpoints outside the current destination set, and delivers U_cast
+   / U_send with the source's rank.
 
    The destination set is a plain list installed with the view
    downcall; COM attaches no consistency semantics to it (Section 7:
@@ -22,7 +24,9 @@
 open Horus_msg
 open Horus_hcpi
 
-let magic = 0x4855  (* "HU" *)
+(* Not the 9-byte envelope's 0x4855: a peer that still stamps its
+   source into the envelope is rejected, not misparsed. *)
+let magic = 0x4835  (* "H5" *)
 
 type kind = Cast | Send
 
@@ -55,9 +59,8 @@ let rec src_of (meta : Event.meta) =
   | (k, v) :: rest -> if String.equal k src_meta then v else src_of rest
 
 (* The envelope, outermost field first: magic u16, length u16, kind
-   u8, source endpoint u32. *)
-let push_envelope t ~kind m =
-  Wire.push_endpoint m t.env.Layer.endpoint;
+   u8. *)
+let push_envelope ~kind m =
   Msg.push_u8 m (kind_code kind);
   Msg.push_u16 m (Msg.length m land 0xffff);
   Msg.push_u16 m magic
@@ -67,8 +70,7 @@ let push_envelope t ~kind m =
 let strip_envelope m =
   ignore (Msg.pop_u16 m);
   ignore (Msg.pop_u16 m);
-  ignore (Msg.pop_u8 m);
-  ignore (Msg.pop_u32 m)
+  ignore (Msg.pop_u8 m)
 
 let rec rank_in dests eid i =
   if i >= Array.length dests then -1
@@ -106,7 +108,7 @@ let deliver_local t ~kind m =
 (* A cast to the current destination set: the full path's handler and
    the fused path's bottom, both. *)
 let cast t m =
-  push_envelope t ~kind:Cast m;
+  push_envelope ~kind:Cast m;
   xmit t ~dsts:t.peers m;
   if t.loopback && t.self_rank >= 0 then deliver_local t ~kind:Cast m
 
@@ -116,7 +118,7 @@ let handle_down t (ev : Event.down) =
   | Event.D_send (dsts, m) ->
     let self = t.env.Layer.endpoint in
     let local = t.loopback && List.exists (Addr.equal_endpoint self) dsts in
-    push_envelope t ~kind:Send m;
+    push_envelope ~kind:Send m;
     xmit t
       ~dsts:(List.filter (fun dst -> not (Addr.equal_endpoint dst self)) dsts)
       m;
@@ -170,24 +172,21 @@ let reject t =
 
 let handle_up t (ev : Event.up) =
   match ev with
-  | Event.U_packet (_node, m) ->
+  | Event.U_packet (src, m) ->
     t.received <- t.received + 1;
     (match pop_envelope_kind m with
      | exception Msg.Truncated _ -> reject t
      | -1 -> reject t
      | k ->
-       (match Msg.pop_u32 m with
-        | exception Msg.Truncated _ -> reject t
-        | src ->
-          let rank = rank_in t.dests src 0 in
-          let meta = if rank >= 0 then t.metas.(rank) else meta_of src in
-          if k = kind_code Send then t.env.Layer.emit_up (Event.U_send (rank, m, meta))
-          else if rank < 0 && t.filter then begin
-            t.filtered <- t.filtered + 1;
-            t.env.Layer.trace ~category:"filtered"
-              (Format.asprintf "cast from non-member %a" Addr.pp_endpoint (Addr.endpoint src))
-          end
-          else t.env.Layer.emit_up (Event.U_cast (rank, m, meta))))
+       let rank = rank_in t.dests src 0 in
+       let meta = if rank >= 0 then t.metas.(rank) else meta_of src in
+       if k = kind_code Send then t.env.Layer.emit_up (Event.U_send (rank, m, meta))
+       else if rank < 0 && t.filter then begin
+         t.filtered <- t.filtered + 1;
+         t.env.Layer.trace ~category:"filtered"
+           (Format.asprintf "cast from non-member %a" Addr.pp_endpoint (Addr.endpoint src))
+       end
+       else t.env.Layer.emit_up (Event.U_cast (rank, m, meta)))
   | Event.U_view _ | Event.U_cast _ | Event.U_send _ | Event.U_merge_request _
   | Event.U_merge_denied _ | Event.U_flush _ | Event.U_flush_ok _ | Event.U_leave _
   | Event.U_lost_message _ | Event.U_stable _ | Event.U_problem _
@@ -216,17 +215,14 @@ let compile_fastpath t () =
       { Layer.fpb_send_ready = (fun () -> t.dests == dests);
         fpb_cast = cast t;
         fpb_parse =
-          (fun m ->
-             let mg = Msg.pop_u16 m in
-             let len = Msg.pop_u16 m in
-             if mg <> magic || len <> Msg.length m land 0xffff then None
-             else if Msg.pop_u8 m <> kind_code Cast then None
-             else
-               (* members only: rank -1 (and the filter) stay on the
-                  full path *)
-               let r = rank_in t.dests (Msg.pop_u32 m) 0 in
-               if r < 0 then None else Some (r, t.metas.(r)));
-        fpb_parsed = (fun () -> t.received <- t.received + 1) }
+          (fun ~src m ->
+             (* members' casts only: rank -1 (and the filter) stay on
+                the full path *)
+             if pop_envelope_kind m = kind_code Cast then rank_in t.dests src 0 else -1);
+        fpb_parsed =
+          (fun rank ->
+             t.received <- t.received + 1;
+             t.metas.(rank)) }
   end
 
 let create params env =

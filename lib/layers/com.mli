@@ -1,7 +1,9 @@
 (** COM: the bottom adapter layer — raw best-effort datagrams to and
-    from the HCPI (Section 7). Stamps source addresses (P11), checks a
-    magic/length envelope (P10), filters casts from non-members, and
-    turns the view downcall into its destination set.
+    from the HCPI (Section 7). Recovers source addresses (P11) from the
+    attachment, which hands each packet up with its sender's endpoint
+    id; checks a magic/length/kind envelope (P10); filters casts from
+    non-members; and turns the view downcall into its destination
+    set.
 
     Parameters: [filter] (default true) drop casts from non-members;
     [loopback] (default true) deliver own casts locally. *)

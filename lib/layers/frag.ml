@@ -96,10 +96,8 @@ let create params env =
         { Layer.fp_send_ready = (fun ~len -> len + 64 <= t.frag_size);
           fp_send = (fun m -> Msg.push_bool m false);
           fp_deliver_check =
-            (fun ~rank:_ ~meta m ->
-               (not (Msg.pop_bool m))
-               && not (Hashtbl.mem t.cast_partial (Com.src_of meta)));
-          fp_deliver_commit = (fun ~rank:_ ~meta:_ _ -> ()) });
+            (fun ~src m -> (not (Msg.pop_bool m)) && not (Hashtbl.mem t.cast_partial src));
+          fp_deliver_commit = ignore });
   let handle_up (ev : Event.up) =
     match ev with
     | Event.U_cast (rank, m, meta) ->

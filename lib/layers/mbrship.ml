@@ -1020,12 +1020,11 @@ let make ~name ~forward_unstable_default params env =
         { Layer.fp_send_ready = (fun ~len:_ -> t.phase = Normal);
           fp_send = stamp_cast t;
           fp_deliver_check =
-            (fun ~rank:_ ~meta m ->
+            (fun ~src:origin m ->
                t.phase = Normal
                && Msg.pop_u8 m = k_data
                && begin
                  let seq = Msg.pop_u32 m in
-                 let origin = Com.src_of meta in
                  (not (ISet.mem origin t.failed_set))
                  && seq = Delivery_log.next_expected t.log origin
                  && Delivery_log.ooo_pending t.log = 0
@@ -1037,7 +1036,7 @@ let make ~name ~forward_unstable_default params env =
                  end
                end);
           fp_deliver_commit =
-            (fun ~rank:_ ~meta:_ m ->
+            (fun m ->
                heard_from t !chk_origin;
                let here = Msg.mark m in
                Msg.restore m !chk_pos;

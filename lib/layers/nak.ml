@@ -713,12 +713,11 @@ let create params env =
         { Layer.fp_send_ready = (fun ~len:_ -> true);
           fp_send = stamp_cast t;
           fp_deliver_check =
-            (fun ~rank:_ ~meta m ->
+            (fun ~src m ->
                Msg.pop_u8 m = k_data_cast
                && Msg.pop_u32 m = t.epoch
                && begin
                  let seq = Msg.pop_u32 m in
-                 let src = Com.src_of meta in
                  let lane = recv_lane t src in
                  seq = lane.cr_expected
                  && Hashtbl.length lane.cr_ooo = 0
@@ -729,7 +728,7 @@ let create params env =
                  end
                end);
           fp_deliver_commit =
-            (fun ~rank:_ ~meta:_ _ ->
+            (fun _ ->
                let src = !chk_src in
                heard t src;
                let lane = recv_lane t src in

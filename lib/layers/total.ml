@@ -168,12 +168,11 @@ let create (_ : Params.t) env =
                stamp t m;
                t.requested <- false);
           fp_deliver_check =
-            (fun ~rank:_ ~meta:_ m ->
+            (fun ~src:_ m ->
                Msg.pop_u8 m = k_ordered
                && Msg.pop_u32 m = t.next_deliver
                && Hashtbl.length t.buffer = 0);
-          fp_deliver_commit =
-            (fun ~rank:_ ~meta:_ _ -> t.next_deliver <- t.next_deliver + 1) });
+          fp_deliver_commit = (fun _ -> t.next_deliver <- t.next_deliver + 1) });
   let handle_up (ev : Event.up) =
     match ev with
     | Event.U_cast (rank, m, meta) ->

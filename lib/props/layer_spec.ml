@@ -36,10 +36,11 @@ let spec ?(conflicts = []) ~name ~requires ~provides ~inherits ~cost () =
     conflicts = Property.Set.of_numbers conflicts;
     cost }
 
-(* COM adapts a raw network to the HCPI. It stamps the source address
-   on each message (P11) and carries a length/magic envelope that
-   detects byte reordering or truncation (P10). Ordering-style
-   guarantees of the network underneath pass through. *)
+(* COM adapts a raw network to the HCPI. It recovers the source
+   address of each message (P11) from the attachment, which knows the
+   sender of every packet it hands up, and carries a length/magic
+   envelope that detects byte reordering or truncation (P10).
+   Ordering-style guarantees of the network underneath pass through. *)
 let com =
   spec ~name:"COM" ~requires:[ 1 ] ~provides:[ 10; 11 ]
     ~inherits:[ 1; 2; 3; 4; 5; 6; 7; 12; 13 ] ~cost:1 ()

@@ -44,9 +44,7 @@ type batch = {
 }
 
 type t = {
-  kind : string;           (* "udp", "loopback", ... *)
   local_addr : string;     (* this backend's own address, in its scheme *)
-  mtu : int;               (* largest datagram the backend will carry *)
   send : dest:string -> Bytes.t -> unit;
   set_rx : rx -> unit;     (* install the receive callback (one at a time);
                               it owns the bytes it is handed *)

@@ -46,9 +46,7 @@ type batch = {
     time, on the same terms as a scalar drain. *)
 
 type t = {
-  kind : string;           (** "udp", "loopback", ... *)
   local_addr : string;     (** this backend's own address *)
-  mtu : int;               (** largest datagram the backend will carry *)
   send : dest:string -> Bytes.t -> unit;
       (** Bytes handed to [send] are immutable from then on: neither
           the caller nor the backend may write them, and the caller

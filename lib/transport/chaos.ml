@@ -242,9 +242,7 @@ let wrap ?rank t (b : Backend.t) =
       end
     end
   in
-  { b with
-    Backend.kind = "chaos+" ^ b.Backend.kind;
-    send }
+  { b with Backend.send }
 
 (* --- observability --- *)
 

@@ -95,9 +95,7 @@ let create ?addr hub =
       else entry.e_stats.Backend.dropped <- entry.e_stats.Backend.dropped + 1
     end
   in
-  { Backend.kind = "loopback";
-    local_addr = addr;
-    mtu = 65_507;  (* match UDP's datagram ceiling so tests see real limits *)
+  { Backend.local_addr = addr;
     send;
     set_rx =
       (fun rx ->

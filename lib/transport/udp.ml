@@ -300,9 +300,7 @@ let create ?(batch = 0) ~bind () =
       | Some b when Sysops.mmsg_available () -> poll_batched b
       | _ -> poll_scalar ()
   in
-  { Backend.kind = "udp";
-    local_addr;
-    mtu = max_datagram;
+  { Backend.local_addr;
     send;
     set_rx = (fun f -> rx := Some f);
     fd = Some fd;

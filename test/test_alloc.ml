@@ -26,9 +26,10 @@
 
    The default-period window is measured once more with every member
    on the fused fast path. A fused cast pushes its headers onto the
-   same message as an unfused one and skips the event queue, so it
-   must allocate no more than the unfused cast, and it stays under the
-   same ceiling. *)
+   same message as an unfused one and skips the event queue, and a
+   fused delivery allocates nothing to name its sender, so it must
+   allocate no more than the unfused cast, and it stays under a
+   ceiling of its own, close to its measured value. *)
 
 open Horus
 
@@ -88,6 +89,11 @@ let words_per_cast ~fastpath ~caster_spec =
    (OCaml 5.1.1, x86-64). *)
 let ceiling = 496.0
 
+(* The 345 words per fused cast measured at the default periods
+   (OCaml 5.1.1, x86-64), plus 1.5 %: an option and a tuple allocated
+   again on each fused delivery (367 words per cast) fail it. *)
+let fused_ceiling = 350.0
+
 let test_budget () =
   let default = words_per_cast ~fastpath:false ~caster_spec:stack in
   let slow = words_per_cast ~fastpath:false ~caster_spec:slow_stack in
@@ -97,9 +103,9 @@ let test_budget () =
     default slow fused;
   if default > ceiling then
     Alcotest.failf "%.0f minor words per cast exceeds the ceiling of %.0f" default ceiling;
-  if fused > ceiling then
+  if fused > fused_ceiling then
     Alcotest.failf "%.0f minor words per fused cast exceeds the ceiling of %.0f" fused
-      ceiling;
+      fused_ceiling;
   if fused > default then
     Alcotest.failf "the fused cast allocates %.0f minor words, the unfused %.0f" fused
       default;

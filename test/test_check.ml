@@ -173,7 +173,36 @@ let test_decoders_never_raise () =
       decoders
   in
   List.iter check [ {|"\uzzzz"|}; {|"\u12"|}; {|"\u_123"|}; {|{"name": "\u00zz"}|} ];
-  let corpus = Array.of_list (profile :: repros) in
+  (* Edited copies of a committed repro that are well-formed but would
+     crash a replay: each must decode to [Error]. *)
+  let module J = Horus_obs.Json in
+  let clean =
+    match J.of_string (In_channel.with_open_bin "repros/clean-crash.json" In_channel.input_all) with
+    | Ok j -> j
+    | Error e -> Alcotest.fail e
+  in
+  let rec set path v j =
+    match path, j with
+    | [], _ -> v
+    | k :: rest, J.Obj kvs -> J.Obj (List.map (fun (k', x) -> (k', if k' = k then set rest v x else x)) kvs)
+    | _ -> Alcotest.fail "no such field"
+  in
+  let bad =
+    List.map (J.to_string ~indent:true)
+      [ (* no ops or faults, so only [n] is out of range *)
+        clean |> set [ "n" ] (J.Int 0) |> set [ "ops" ] (J.List []) |> set [ "faults" ] (J.List []);
+        set [ "spec" ] (J.String "MBRSHIP:NOSUCH:COM") clean;
+        set [ "sched"; "width" ] (J.Int 0) clean;
+        set [ "net"; "latency" ] (J.Float (-0.0005)) clean ]
+  in
+  List.iter
+    (fun s ->
+       check s;
+       match Scenario.of_string s with
+       | Error _ -> ()
+       | Ok _ -> Alcotest.failf "decoded a repro that cannot replay: %s" s)
+    bad;
+  let corpus = Array.of_list ((profile :: repros) @ bad) in
   let rng = Random.State.make [| 21 |] in
   let syntax = {|"\u{}[],:-+.eE0123456789 ntf|} in
   let mutate s =

@@ -27,21 +27,123 @@ let test_cast_delivers () =
   Alcotest.(check (list string)) "b got it" [ "hello" ] (Group.casts b);
   Alcotest.(check (list string)) "a loopback" [ "hello" ] (Group.casts a)
 
-let test_cast_ranks () =
+(* --- P11: COM takes the source address from the attachment --- *)
+
+(* Two COM-only members [a] and [b] in one symmetric view, over one
+   attachment shape, and a way to hand [b] a raw datagram (COM envelope
+   and payload) as if endpoint id [src] had sent it. *)
+type rig = {
+  world : World.t;
+  a : Group.t;
+  b : Group.t;
+  inject : src:int -> Bytes.t -> unit;
+}
+
+let sim_rig () =
   let world, a, b = mk_pair () in
-  Group.cast a "from a";
-  World.run_for world ~duration:default_settle;
-  match Group.deliveries b with
-  | [ d ] ->
-    let rank_a =
-      match Group.view b with
-      | Some v -> Option.get (View.rank_of v (Group.addr a))
-      | None -> Alcotest.fail "no view at b"
-    in
-    Alcotest.(check int) "source rank" rank_a d.Group.rank;
-    Alcotest.(check bool) "src_eid meta" true
-      (Event.meta_find d.Group.meta "src_eid" = Some (Addr.endpoint_id (Group.addr a)))
-  | ds -> Alcotest.failf "expected 1 delivery, got %d" (List.length ds)
+  let gid = Addr.group_id (Group.group b) in
+  let inject ~src payload =
+    let frame = Bytes.create (4 + Bytes.length payload) in
+    Bytes.set_int32_be frame 0 (Int32.of_int gid);
+    Bytes.blit payload 0 frame 4 (Bytes.length payload);
+    Horus_sim.Net.send (World.net world) ~src ~dst:(Endpoint.node (Group.endpoint b)) frame
+  in
+  { world; a; b; inject }
+
+(* Each member on a dedicated Loopback socket ([Transport_link.attach]). *)
+let link_rig () =
+  let module T = Transport in
+  let world = World.create () in
+  let hub = T.Loopback.hub ~latency:0.0005 (World.engine world) in
+  let link = Transport_link.create world in
+  let peers = T.Peers.create () in
+  let sockets = Array.init 2 (fun r -> T.Loopback.create ~addr:(Printf.sprintf "mem:%d" r) hub) in
+  Array.iteri (fun r s -> T.Peers.add peers ~rank:r ~addr:s.T.Backend.local_addr) sockets;
+  let ep r = Transport_link.endpoint link ~backend:sockets.(r) ~peers ~rank:r ~spec:"COM" in
+  let g = World.fresh_group_addr world in
+  let a = Group.join (ep 0) g in
+  let b = Group.join ~contact:(Group.addr a) (ep 1) g in
+  let v = View.create ~group:g ~ltime:0 ~members:[ Group.addr a; Group.addr b ] in
+  Group.install_view a v;
+  Group.install_view b v;
+  let inject ~src payload =
+    sockets.(0).T.Backend.send ~dest:sockets.(1).T.Backend.local_addr
+      (T.Frame.encode ~src:(Addr.endpoint src) ~group:g payload)
+  in
+  { world; a; b; inject }
+
+let rigs = [ ("sim", sim_rig); ("loopback link", link_rig) ]
+
+(* COM's [rejected] and [filtered] counters, from its dump. *)
+let com_counts g =
+  match Group.focus g "COM" with
+  | None -> Alcotest.fail "no COM layer"
+  | Some l ->
+    Scanf.sscanf (List.nth (l.Horus_hcpi.Layer.dump ()) 1)
+      "sent=%_d received=%_d rejected=%d filtered=%d" (fun r f -> (r, f))
+
+(* A cast datagram under COM's envelope: magic, length, kind. *)
+let envelope payload =
+  let m = Msg.create payload in
+  Msg.push_u8 m 0;
+  Msg.push_u16 m (Msg.length m);
+  Msg.push_u16 m Horus_layers.Com.magic;
+  Msg.to_bytes m
+
+(* The same cast as a peer that still stamps the 9-byte envelope sends
+   it: magic 0x4855, length, kind, then its own endpoint id. *)
+let old_envelope ~src payload =
+  let m = Msg.create payload in
+  Msg.push_u32 m src;
+  Msg.push_u8 m 0;
+  Msg.push_u16 m (Msg.length m);
+  Msg.push_u16 m 0x4855;
+  Msg.to_bytes m
+
+let test_cast_ranks () =
+  List.iter
+    (fun (name, rig) ->
+       let { world; a; b; _ } = rig () in
+       Group.cast a "from a";
+       World.run_for world ~duration:default_settle;
+       match Group.deliveries b with
+       | [ d ] ->
+         let rank_a =
+           match Group.view b with
+           | Some v -> Option.get (View.rank_of v (Group.addr a))
+           | None -> Alcotest.fail "no view at b"
+         in
+         Alcotest.(check int) (name ^ ": source rank") rank_a d.Group.rank;
+         Alcotest.(check int) (name ^ ": src_eid meta")
+           (Addr.endpoint_id (Group.addr a))
+           (Horus_layers.Com.src_of d.Group.meta)
+       | ds -> Alcotest.failf "%s: expected 1 delivery, got %d" name (List.length ds))
+    rigs
+
+(* An outsider's cast is filtered, and an old-magic envelope from a
+   member is rejected and counted, not misparsed. *)
+let test_p11_every_attachment () =
+  List.iter
+    (fun (name, rig) ->
+       let { world; a; b; inject } = rig () in
+       World.run_for world ~duration:default_settle;
+       let rejected0, filtered0 = com_counts b in
+       inject ~src:99 (envelope "outsider");
+       World.run_for world ~duration:default_settle;
+       let rejected1, filtered1 = com_counts b in
+       Alcotest.(check int) (name ^ ": outsider filtered") (filtered0 + 1) filtered1;
+       Alcotest.(check int) (name ^ ": outsider not rejected") rejected0 rejected1;
+       let a_eid = Addr.endpoint_id (Group.addr a) in
+       inject ~src:a_eid (old_envelope ~src:a_eid "old");
+       World.run_for world ~duration:default_settle;
+       let rejected2, filtered2 = com_counts b in
+       Alcotest.(check int) (name ^ ": old envelope rejected") (rejected1 + 1) rejected2;
+       Alcotest.(check int) (name ^ ": old envelope not filtered") filtered1 filtered2;
+       inject ~src:a_eid (envelope "member");
+       World.run_for world ~duration:default_settle;
+       Alcotest.(check (list string)) (name ^ ": only the member's cast delivered")
+         [ "member" ] (Group.casts b))
+    rigs
 
 let test_send_subset () =
   let world, a, b = mk_pair () in
@@ -242,6 +344,7 @@ let () =
           Alcotest.test_case "send subset" `Quick test_send_subset;
           Alcotest.test_case "send with self" `Quick test_no_loopback_without_self_in_send;
           Alcotest.test_case "filters spurious casts" `Quick test_filter_spurious_cast;
+          Alcotest.test_case "P11 from every attachment" `Quick test_p11_every_attachment;
           Alcotest.test_case "garbled envelope" `Quick test_garbled_envelope_rejected;
           Alcotest.test_case "view install changes dests" `Quick test_view_install_changes_dests;
           Alcotest.test_case "solo join" `Quick test_solo_join_view;

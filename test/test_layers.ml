@@ -233,7 +233,7 @@ let frag_stack ~frag_size ~to_app ~to_below =
   Horus_layers.Init.register_all ();
   Horus_hcpi.Stack.create ~engine:(Horus_sim.Engine.create ()) ~endpoint:(Addr.endpoint 0)
     ~group:(Addr.group 0) ~prng:(Horus_util.Prng.create 1)
-    ~transport:{ Horus_hcpi.Layer.xmit = (fun ~dsts:_ _ -> ()); local_node = 0; mtu = 65536 }
+    ~transport:{ Horus_hcpi.Layer.xmit = (fun ~dsts:_ _ -> ()) }
     ~rendezvous:Horus_hcpi.Layer.null_rendezvous
     ~trace:(fun ~layer:_ ~category:_ _ -> ())
     ~to_app ~to_below

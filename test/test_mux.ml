@@ -119,19 +119,50 @@ let unknown_gid_counted () =
   Group.cast founder "hello";
   World.run_for world ~duration:0.5;
   Alcotest.(check (list string)) "joined gid delivers" [ "hello" ] (Group.casts other);
+  (* P11 over the shared socket: the source COM reports is the frame's. *)
+  (match List.rev (Group.deliveries other) with
+   | d :: _ ->
+     Alcotest.(check (option int)) "sender's rank" (Group.my_rank founder) (Some d.Group.rank);
+     Alcotest.(check int) "sender's endpoint id" 0 (Horus_layers.Com.src_of d.Group.meta)
+   | [] -> Alcotest.fail "no delivery");
   Alcotest.(check int) "no unknown gids yet" 0 (Transport_link.unknown_gid link);
-  (* Inject valid frames for a gid neither socket has joined, plus one
-     for the live gid from an unknown source — only the dead gid
-     counts as unknown. *)
+  let com_counts () =
+    match Group.focus other "COM" with
+    | None -> Alcotest.fail "no COM layer"
+    | Some l ->
+      Scanf.sscanf (List.nth (l.Horus_hcpi.Layer.dump ()) 1)
+        "sent=%_d received=%_d rejected=%d filtered=%d" (fun r f -> (r, f))
+  in
+  let rejected0, filtered0 = com_counts () in
+  (* Inject valid frames for a gid neither socket has joined, plus two
+     for the live gid: a well-formed COM cast from an unknown source
+     and one under the old 9-byte envelope (magic 0x4855, length,
+     kind, source) from the founder. Only the dead gid counts as
+     unknown; COM filters the outsider and rejects the old envelope. *)
   let stray =
     T.Frame.encode ~src:(Addr.endpoint 99) ~group:(Addr.group 424242)
       (Bytes.of_string "stray")
   in
+  let cast_frame ~src ~old payload =
+    let m = Msg.create payload in
+    if old then Msg.push_u32 m src;
+    Msg.push_u8 m 0;
+    Msg.push_u16 m (Msg.length m);
+    Msg.push_u16 m (if old then 0x4855 else Horus_layers.Com.magic);
+    T.Frame.encode ~src:(Addr.endpoint src) ~group:gid (Msg.to_bytes m)
+  in
   sockets.(0).T.Backend.send ~dest:sockets.(1).T.Backend.local_addr stray;
   sockets.(1).T.Backend.send ~dest:sockets.(0).T.Backend.local_addr stray;
+  sockets.(0).T.Backend.send ~dest:sockets.(1).T.Backend.local_addr
+    (cast_frame ~src:99 ~old:false "outsider");
+  sockets.(0).T.Backend.send ~dest:sockets.(1).T.Backend.local_addr
+    (cast_frame ~src:0 ~old:true "old envelope");
   World.run_for world ~duration:0.5;
   Alcotest.(check int) "both strays dropped and counted" 2
     (Transport_link.unknown_gid link);
+  let rejected1, filtered1 = com_counts () in
+  Alcotest.(check int) "outsider's cast filtered" (filtered0 + 1) filtered1;
+  Alcotest.(check int) "old envelope rejected" (rejected0 + 1) rejected1;
   Alcotest.(check (list string)) "no phantom delivery" [ "hello" ] (Group.casts other);
   (* The metric mirrors the counter (exporters run at snapshot time). *)
   ignore (World.metrics_json world);

@@ -184,7 +184,7 @@ let sharded_double_run_agrees () =
 let soak_fold_pinned () =
   Horus_layers.Init.register_all ();
   let s = soak_campaign ~shards:2 in
-  Alcotest.(check string) "soak 2-cell fingerprint" "305d19cfa677d6e7"
+  Alcotest.(check string) "soak 2-cell fingerprint" "651ea94338e45f93"
     (Printf.sprintf "%016Lx" s.Campaign.combined)
 
 (* test_hier.ml's toy churn shape. *)

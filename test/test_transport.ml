@@ -130,9 +130,7 @@ let mutate b = function
    test can hand that callback arbitrary datagrams. *)
 let stub_backend () =
   let rx = ref (fun ~src:_ _ -> ()) in
-  ( { T.Backend.kind = "stub";
-      local_addr = "stub:0";
-      mtu = 65_507;
+  ( { T.Backend.local_addr = "stub:0";
       send = (fun ~dest:_ _ -> ());
       set_rx = (fun f -> rx := f);
       fd = None;

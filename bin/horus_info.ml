@@ -1037,23 +1037,22 @@ let node_cmd =
       (* Populate the global layer registry before the domains spawn. *)
       Horus_layers.Init.register_all ();
       let fabric = Transport.Shard.create shards in
+      let bypassed =
+        Array.mapi (fun me b -> Transport.Shard.bypass fabric ~me ~lookup b) backends
+      in
       let results =
         Transport.Shard.run fabric (fun ctx ->
             let me = ctx.Transport.Shard.sx_id in
             let world = World.create () in
             let g = World.fresh_group_addr world in  (* gid 0 in every shard *)
             let link = Transport_link.create world in
-            let backend = Transport.Shard.bypass fabric ~me ~lookup backends.(me) in
-            let driver =
-              (* Mailbox posts cannot wake a sleeping driver: tick fast
-                 enough that cross-shard latency stays bounded. *)
-              Transport.Driver.create ~max_tick:Transport.Defaults.shard_tick
-                (World.engine world) [ backend ]
-            in
+            let backend = bypassed.(me) in
+            let driver = Transport.Driver.create (World.engine world) [ backend ] in
             node_member ~world ~driver ~link ~backend ~peers:book ~source:"static"
               ~g ~rank:(rank + me) ~spec ~casts ~interval ~timeout ~n)
       in
-      Array.iter (fun (b : Transport.Backend.t) -> b.Transport.Backend.close ()) backends;
+      (* Closing a bypass closes its doorbell pipe, then the socket. *)
+      Array.iter (fun (b : Transport.Backend.t) -> b.Transport.Backend.close ()) bypassed;
       let shard_obs =
         let m = Horus_obs.Metrics.create () in
         Transport.Shard.export_metrics fabric m;

@@ -81,11 +81,15 @@ let executed t = t.executed
 
 let pending t = Horus_util.Heap.length t.queue
 
-(* Firing time of the earliest queued event (cancelled events included —
-   an early wake-up is harmless). Real-time drivers (lib/transport's
-   Driver) use this to size their select timeout. *)
-let next_time t =
-  Option.map (fun ev -> ev.time) (Horus_util.Heap.peek t.queue)
+(* Seconds from [now] to the earliest queued event (cancelled events
+   included — an early wake-up is harmless), [infinity] on an empty
+   queue. Real-time drivers (lib/transport's Driver) use this to size
+   their poll timeout once per idle step, so it returns a bare float
+   rather than an option. *)
+let until_next t ~now =
+  match Horus_util.Heap.peek t.queue with
+  | Some ev -> ev.time -. now
+  | None -> infinity
 
 let schedule_at t ~time thunk =
   (* Under a chooser, executing a deferred event advances [now] past

@@ -27,10 +27,12 @@ val executed : t -> int
 val pending : t -> int
 (** Number of events still queued. *)
 
-val next_time : t -> float option
-(** Firing time of the earliest queued event, [None] when the queue is
+val until_next : t -> now:float -> float
+(** Seconds from [now] to the firing time of the earliest queued event
+    (negative when it is already due), [infinity] when the queue is
     empty. Cancelled events are included (an early wake-up is
-    harmless); real-time drivers use this to size their sleep. *)
+    harmless); real-time drivers use this to size their sleep, and it
+    allocates no option. *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> handle
 (** Schedule a thunk at an absolute time (must not be in the past). *)

@@ -43,6 +43,19 @@ type batch = {
   mutable bt_tx_syscalls : int;
 }
 
+(* The wake-up extension point. A backend whose deliveries arrive
+   from another domain (Shard.bypass: frames posted into in-process
+   mailboxes) cannot make its socket readable, so it publishes a
+   doorbell: an fd the driver adds to its poll set, and the handshake
+   around the driver's one sleep. [db_park] runs just before the sleep
+   and may decline it (mail already waiting); [db_unpark] runs after
+   the sleep and consumes any ring. Everyone else leaves it [None]. *)
+type doorbell = {
+  db_fd : Unix.file_descr;
+  db_park : unit -> bool;
+  db_unpark : unit -> unit;
+}
+
 type t = {
   local_addr : string;     (* this backend's own address, in its scheme *)
   send : dest:string -> Bytes.t -> unit;
@@ -53,6 +66,7 @@ type t = {
   close : unit -> unit;
   stats : stats;
   batch : batch option;    (* batched-syscall extension; None = scalar only *)
+  doorbell : doorbell option;  (* cross-domain wake-up; None = fd alone wakes *)
 }
 
 let flush t = match t.batch with Some b -> b.bt_flush () | None -> ()

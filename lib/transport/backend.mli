@@ -45,6 +45,31 @@ type batch = {
     receives still reach the one {!rx} callback, one datagram at a
     time, on the same terms as a scalar drain. *)
 
+type doorbell = {
+  db_fd : Unix.file_descr;
+      (** readable once the backend has been rung; a driver adds it to
+          its poll set next to {!t.fd} *)
+  db_park : unit -> bool;
+      (** Called by the driver just before it sleeps, and only when it
+          is about to sleep. Marks the backend asleep, then looks for
+          deliveries that arrived meanwhile: [false] declines the sleep
+          (mail is waiting; the backend is awake again and needs no
+          {!db_unpark}), [true] lets the driver sleep. *)
+  db_unpark : unit -> unit;
+      (** Called after every sleep that {!db_park} allowed: marks the
+          backend awake and consumes the ring, if any, so [db_fd] is
+          not readable at the next sleep. *)
+}
+(** The wake-up extension point, for a backend whose deliveries come
+    from another domain and so never make {!t.fd} readable
+    ([Shard.bypass]'s mailboxes). Between a [db_park] that returned
+    [true] and its [db_unpark], a delivery rings the doorbell (makes
+    [db_fd] readable) at least once; outside that window it never
+    rings, so a busy backend costs its senders nothing. Socket-only
+    and engine-driven backends ({!Udp}, {!Loopback}, {!Chaos} over
+    either) leave {!t.doorbell} [None]; wrappers that rebuild the
+    record with [{ b with ... }] pass the wrapped backend's through. *)
+
 type t = {
   local_addr : string;     (** this backend's own address *)
   send : dest:string -> Bytes.t -> unit;
@@ -66,6 +91,9 @@ type t = {
   close : unit -> unit;
   stats : stats;
   batch : batch option;    (** batched-syscall extension; [None] = scalar *)
+  doorbell : doorbell option;
+      (** cross-domain wake-up (see {!doorbell}); [None] = a readable
+          {!fd} or the engine is the only way a delivery arrives *)
 }
 
 val flush : t -> unit

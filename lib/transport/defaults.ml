@@ -24,7 +24,8 @@ let mmsg_batch = 32
    must never wait on a slower one — and counted as overflow. *)
 let mailbox_capacity = 1024
 
-(* Sleep cap for per-shard drivers: mailbox posts cannot wake a driver
-   sleeping in poll(2), so sharded drivers tick fast enough that
-   cross-shard latency stays bounded without a wakeup pipe. *)
+(* A 2 ms sleep cap for per-shard drivers. Nothing in the library
+   reads it: a mailbox post rings a parked shard's doorbell (Shard),
+   so a sharded driver sleeps like any other. Kept until the
+   closed-loop benchmark stops passing it. *)
 let shard_tick = 0.002

@@ -19,5 +19,6 @@ val mailbox_capacity : int
 (** Default capacity of each inter-shard SPSC mailbox. *)
 
 val shard_tick : float
-(** Default [max_tick] for per-shard drivers (seconds): bounds
-    cross-shard mailbox latency, since posts cannot wake poll(2). *)
+(** A 2 ms [max_tick] that only the closed-loop benchmark still passes
+    to its per-shard drivers. Per-shard drivers need no short tick: a
+    mailbox post rings a parked shard's doorbell ({!Shard.bypass}). *)

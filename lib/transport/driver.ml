@@ -24,14 +24,19 @@
 
    A sharded deployment runs one driver per shard (see {!Shard}) over
    the shard's [Shard.bypass] backend, whose [poll] drains the
-   inter-shard mailboxes along with the socket. Mailbox posts cannot
-   wake a driver sleeping in poll(2), so sharded drivers run with a
-   small [max_tick]. *)
+   inter-shard mailboxes along with the socket. A mailbox post makes
+   no socket readable, so such a backend carries a doorbell: its fd
+   sits in the poll set, [db_park] runs just before the one sleep (and
+   may decline it when mail is already waiting) and [db_unpark] right
+   after it. A post rings only a parked shard, so a sleeping driver
+   wakes on cross-shard mail as promptly as on a datagram, and a busy
+   one is never rung. *)
 
 type t = {
   engine : Horus_sim.Engine.t;
   backends : Backend.t list;
   fds : Unix.file_descr array;
+  bells : Backend.doorbell array;
   shards : int;
   t0_wall : float;
   t0_engine : float;
@@ -56,11 +61,16 @@ let create ?(max_tick = Defaults.max_tick) ?(min_sleep = Defaults.min_sleep)
   if min_sleep < 0.0 || min_sleep > max_tick then
     invalid_arg "Driver.create: min_sleep must be within [0, max_tick]";
   if shards < 1 then invalid_arg "Driver.create: shards must be >= 1";
+  let bells =
+    Array.of_list (List.filter_map (fun (b : Backend.t) -> b.Backend.doorbell) backends)
+  in
   { engine;
     backends;
     fds =
-      Array.of_list
-        (List.filter_map (fun (b : Backend.t) -> b.Backend.fd) backends);
+      Array.append
+        (Array.of_list (List.filter_map (fun (b : Backend.t) -> b.Backend.fd) backends))
+        (Array.map (fun (d : Backend.doorbell) -> d.Backend.db_fd) bells);
+    bells;
     shards;
     t0_wall = Unix.gettimeofday ();
     t0_engine = Horus_sim.Engine.now engine;
@@ -106,21 +116,32 @@ let wait_readable t wait =
     | _ -> ()
     | exception Unix.Unix_error (EINTR, _, _) -> ()
 
+(* Park every doorbell from [i] on; if one declines (mail already
+   waiting), wake the ones parked before it and decline the sleep.
+   Top-level and recursive, so the idle step allocates no closure. *)
+let rec park (bells : Backend.doorbell array) i =
+  if i = Array.length bells then true
+  else if bells.(i).Backend.db_park () then park bells (i + 1)
+  else begin
+    for j = 0 to i - 1 do bells.(j).Backend.db_unpark () done;
+    false
+  end
+
 let step ?max_wait t =
   let worked = pump t in
   if worked > 0 then worked
   else begin
     (* Nothing due: sleep until the next timer, the sleep cap, or the
-       caller's bound — or until a socket becomes readable. *)
-    let until_timer =
-      match Horus_sim.Engine.next_time t.engine with
-      | Some tm -> tm -. target t
-      | None -> t.max_tick
-    in
+       caller's bound — or until a socket becomes readable or a
+       doorbell rings. *)
+    let until_timer = Horus_sim.Engine.until_next t.engine ~now:(target t) in
     let wait =
       sleep_for ?max_wait ~max_tick:t.max_tick ~min_sleep:t.min_sleep ~until_timer ()
     in
-    if wait > 0.0 then wait_readable t wait;
+    if wait > 0.0 && park t.bells 0 then begin
+      wait_readable t wait;
+      for i = 0 to Array.length t.bells - 1 do t.bells.(i).Backend.db_unpark () done
+    end;
     pump t
   end
 

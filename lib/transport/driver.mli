@@ -24,9 +24,9 @@ val create :
     [shards] (default 1) is only stored and handed back by {!shards};
     the driver itself never reads it, and no report prints it. A
     sharded driver's backend is its {!Shard.bypass}, whose [poll]
-    drains the inter-shard mailboxes. Mailbox posts cannot wake a
-    driver sleeping in poll(2), so sharded drivers should run with a
-    small [max_tick]. *)
+    drains the inter-shard mailboxes and whose {!Backend.doorbell}
+    wakes the driver's sleep when a co-resident shard posts to it, so
+    a sharded driver needs no smaller [max_tick] than any other. *)
 
 val shards : t -> int
 (** The [shards] value given at creation (1 = unsharded). *)
@@ -47,8 +47,11 @@ val pump : t -> int
     fired (0 = idle). *)
 
 val step : ?max_wait:float -> t -> int
-(** {!pump}; if idle, sleep until the next timer, a readable socket,
-    [max_wait] or [max_tick] — whichever is first — then pump again. *)
+(** {!pump}; if idle, sleep until the next timer, a readable socket, a
+    rung doorbell, [max_wait] or [max_tick] — whichever is first — then
+    pump again. The sleep is bracketed by every backend's
+    {!Backend.doorbell}: [db_park] before it (any decline skips the
+    sleep), [db_unpark] after it. *)
 
 val run_until : ?timeout:float -> t -> (unit -> bool) -> bool
 (** Step until the predicate holds or [timeout] (default 30 s) wall

@@ -109,4 +109,5 @@ let create ?addr hub =
     poll = (fun () -> 0);  (* deliveries ride the engine, nothing to drain *)
     close = (fun () -> entry.e_closed <- true);
     stats = entry.e_stats;
-    batch = None }
+    batch = None;
+    doorbell = None }

@@ -8,7 +8,9 @@
     shard pair (single producer and single consumer by construction).
     Groups land on [gid mod shards] unless pinned; posts shed on
     overflow rather than block (best-effort, like the wire — the
-    stack's loss repair recovers them). *)
+    stack's loss repair recovers them). A post to a shard whose driver
+    is asleep rings that shard's doorbell (see {!bypass}); a post to a
+    busy shard costs one atomic read and no syscall. *)
 
 type msg = { m_src : string; m_frame : Bytes.t }
 (** A mailbox message: an encoded wire frame and the sender's
@@ -48,7 +50,10 @@ val pinned : t -> int
 val post : t -> from:int -> to_:int -> msg -> bool
 (** Post into shard [to_]'s inbox. Must be called from shard [from]'s
     domain (the ring's single producer). [false] = ring full, message
-    shed (counted as overflow). *)
+    shed (counted as overflow). If [to_] is parked (its driver is
+    between its bypass's [db_park] and [db_unpark]), the first post to
+    win the flag writes one byte to its doorbell pipe; a shard that
+    is not parked is never rung. *)
 
 val drain : t -> me:int -> (msg -> unit) -> int
 (** Drain every inbox of shard [me] in source order; must be called
@@ -66,13 +71,34 @@ val bypass : t -> me:int -> lookup:(string -> int option) -> Backend.t -> Backen
 (** Wrap shard [me]'s backend so sends whose destination address
     [lookup] maps to a co-resident shard are posted to that shard's
     mailbox instead of the kernel; its poll drains [me]'s inboxes
-    before the socket. A shed post falls back to the real send. Use
-    one bypass wrapper per shard — its poll consumes the whole
-    inbox. *)
+    before the socket. A shed post falls back to the real send.
+
+    The wrapper carries shard [me]'s doorbell ({!Backend.doorbell}): a
+    non-blocking, close-on-exec [Unix.pipe] whose read end is
+    [db_fd]. [db_park] marks the shard parked, then checks every inbox
+    once more and declines the sleep if any holds mail; [db_unpark]
+    clears the mark and reads the pipe only if a post rang it. Because
+    OCaml atomics are sequentially consistent, a post either lands
+    before the re-check (the sleep is declined) or sees the shard
+    parked and rings it, so no wakeup is lost. A {!Driver} over the
+    wrapper polls [db_fd] next to the socket, so cross-shard mail
+    wakes it at once.
+
+    One bypass per shard: its poll consumes the whole inbox and it
+    owns the shard's doorbell, so a second [bypass] for the same [me]
+    raises [Invalid_argument] (as does a [me] outside the fabric).
+    The wrapper's [close] closes both pipe fds, then the wrapped
+    backend; call it after {!run} returns, when no shard posts any
+    more. *)
 
 val export_metrics : ?prefix:string -> t -> Horus_obs.Metrics.t -> unit
 (** Mirror the fabric's counters into a registry ([prefix] defaults to
     ["shard"]): [shard.posted]/[drained]/[forwarded]/[overflow]/
-    [pins]/[shards] totals, per-shard [shard.posted.<i>] and
-    [shard.drained.<i>] dispatch counters, and a [shard.mailbox_hwm]
-    gauge (deepest any mailbox has been). *)
+    [pins]/[shards] totals, [shard.wakeups] (doorbell rings: posts
+    that found their destination parked and woke it; at most
+    [shard.posted], and well below it while the shards are busy;
+    exported only once it is non-zero, so a fabric whose shards have
+    no {!bypass} exports the same keys as before doorbells existed),
+    per-shard [shard.posted.<i>] and [shard.drained.<i>] dispatch
+    counters, and a [shard.mailbox_hwm] gauge (deepest any mailbox has
+    been). *)

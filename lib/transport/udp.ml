@@ -313,4 +313,5 @@ let create ?(batch = 0) ~bind () =
            try Unix.close fd with _ -> ()
          end);
     stats;
-    batch = batch_rec }
+    batch = batch_rec;
+    doorbell = None }

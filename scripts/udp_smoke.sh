@@ -16,7 +16,9 @@
 # (two OCaml domains, two sockets, batched syscalls), co-resident
 # cross-rank traffic riding the fabric's lock-free mailboxes instead
 # of the kernel. The cross-check extends to all four members and also
-# asserts that the mailboxes actually carried frames in each process.
+# asserts that the mailboxes actually carried frames in each process,
+# and that their doorbells rang (shard.wakeups > 0) no more often than
+# frames were posted.
 #
 # Environment:
 #   UDP_SMOKE_DIR    artifact directory (default udp-smoke-artifacts)
@@ -137,6 +139,14 @@ for p, doc in procs.items():
         failures.append(f"proc {p}: co-resident traffic never rode the mailboxes")
     if drained != posted:
         failures.append(f"proc {p}: mailbox loss: posted {posted}, drained {drained}")
+    # A post rings its destination only when that shard sleeps, and at
+    # most once: an idle gap between casts must have rung some shard,
+    # and rings can never outnumber posts.
+    wakeups = counters.get("shard.wakeups", 0)
+    if wakeups == 0:
+        failures.append(f"proc {p}: no mailbox post ever woke a parked shard")
+    if wakeups > posted:
+        failures.append(f"proc {p}: {wakeups} doorbell rings for {posted} posts")
     members.extend(doc["reports"])
 
 expect = 4 * casts
@@ -178,10 +188,11 @@ if failures:
     sys.exit(1)
 
 mail = sum(p.get("shard", {}).get("counters", {}).get("shard.posted", 0) for p in procs.values())
+rings = sum(p.get("shard", {}).get("counters", {}).get("shard.wakeups", 0) for p in procs.values())
 print(
     f"udp_smoke (sharded): OK — 4 members across 2 processes x 2 shards agree on "
     f"view {views[0]['members'] if views[0] else None}, {expect} casts each in one "
-    f"total order, {mail} frames over the lock-free mailboxes"
+    f"total order, {mail} frames over the lock-free mailboxes, {rings} doorbell rings"
 )
 EOF
 

@@ -115,6 +115,46 @@ let test_budget () =
        unstable store"
       default slow
 
+(* Allocation budget of an idle wall-clock driver step over a shard's
+   bypass backend: pump (drain the mailboxes and the wrapped backend,
+   run no event), size the sleep, park the doorbell, sleep 1 ms in
+   poll(2), unpark, pump again. A sharded driver takes about one such
+   step for every two casts it handles, so what the step allocates
+   shows up in the benchmark's words per cast. The step used to
+   allocate a drain closure on every poll and two options to size its
+   sleep: 27.8 words without a doorbell. It now allocates 15.7 with
+   one (OCaml 5.1.1, x86-64): the drain callback is built once per
+   bypass and [Engine.until_next] returns a bare float. The ceiling is
+   5 % above that; the per-poll closure (26 words) or the options
+   (17.7 words) fail it. *)
+let idle_step_ceiling = 16.5
+
+let test_idle_step () =
+  let module T = Horus_transport in
+  let engine = Horus_sim.Engine.create () in
+  (* A far timer, as a live stack always has one: the step sizes its
+     sleep from it. *)
+  ignore (Horus_sim.Engine.schedule engine ~delay:3600.0 ignore);
+  let hub = T.Loopback.hub engine in
+  let fabric = T.Shard.create 2 in
+  let backend =
+    T.Shard.bypass fabric ~me:0 ~lookup:(fun _ -> None) (T.Loopback.create ~addr:"mem:0" hub)
+  in
+  backend.T.Backend.set_rx (fun ~src:_ _ -> ());
+  let driver = T.Driver.create ~max_tick:0.001 ~min_sleep:0.001 engine [ backend ] in
+  let steps n = for _ = 1 to n do ignore (T.Driver.step driver) done in
+  steps 20;
+  let n = 200 in
+  let before = Gc.minor_words () in
+  steps n;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  backend.T.Backend.close ();
+  Printf.printf "minor words per idle driver step over a bypass: %.1f\n" words;
+  if words > idle_step_ceiling then
+    Alcotest.failf "%.1f minor words per idle driver step exceeds the ceiling of %.0f" words
+      idle_step_ceiling
+
 let () =
   Alcotest.run "alloc"
-    [ ("cast path", [ Alcotest.test_case "minor words per cast" `Quick test_budget ]) ]
+    [ ("cast path", [ Alcotest.test_case "minor words per cast" `Quick test_budget ]);
+      ("driver", [ Alcotest.test_case "minor words per idle step" `Quick test_idle_step ]) ]

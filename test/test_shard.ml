@@ -129,6 +129,140 @@ let bypass_diverts_and_falls_back () =
   ignore (w1.T.Backend.poll ());
   Alcotest.(check bool) "fallback frame arrived" true (List.mem "overflowed" !mail)
 
+(* --- the doorbell ---------------------------------------------------- *)
+
+let readable fd =
+  match Unix.select [ fd ] [] [] 0.0 with [], _, _ -> false | _ -> true
+
+let wakeups f =
+  let m = Horus_obs.Metrics.create () in
+  Shard.export_metrics f m;
+  Horus_obs.Metrics.count (Horus_obs.Metrics.counter m "shard.wakeups")
+
+(* Open fds of this process, where the OS lists them. *)
+let open_fds () =
+  if Sys.file_exists "/proc/self/fd" then Some (Array.length (Sys.readdir "/proc/self/fd"))
+  else None
+
+let loopback_shard f ~me =
+  let engine = Horus_sim.Engine.create () in
+  let hub = T.Loopback.hub engine in
+  Shard.bypass f ~me ~lookup:(fun _ -> None)
+    (T.Loopback.create ~addr:(Printf.sprintf "mem:%d" me) hub)
+
+let doorbell_of (b : T.Backend.t) =
+  match b.T.Backend.doorbell with
+  | Some d -> d
+  | None -> Alcotest.fail "a bypass carries a doorbell"
+
+(* Both orders of the park/post race, played out on one domain. *)
+let doorbell_orderings () =
+  let fds0 = open_fds () in
+  let f = Shard.create 2 in
+  let b1 = loopback_shard f ~me:1 in
+  let d = doorbell_of b1 in
+  Alcotest.(check (option int)) "a bypass opens one pipe"
+    (Option.map (fun n -> n + 2) fds0) (open_fds ());
+  (* Post, then park: the re-check sees the mail and declines the
+     sleep, and nobody rings. *)
+  ignore (Shard.post f ~from:0 ~to_:1 (msg "early"));
+  Alcotest.(check bool) "park declines with mail waiting" false (d.T.Backend.db_park ());
+  Alcotest.(check int) "nothing rang" 0 (wakeups f);
+  Alcotest.(check bool) "pipe empty" false (readable d.T.Backend.db_fd);
+  Alcotest.(check int) "the mail is there" 1 (Shard.drain f ~me:1 (fun _ -> ()));
+  (* Park, then post: the post rings once and the pipe is readable at
+     once; a second post while rung writes no second byte. *)
+  Alcotest.(check bool) "park with empty inboxes" true (d.T.Backend.db_park ());
+  ignore (Shard.post f ~from:0 ~to_:1 (msg "late"));
+  Alcotest.(check int) "rung once" 1 (wakeups f);
+  Alcotest.(check bool) "pipe readable at once" true (readable d.T.Backend.db_fd);
+  ignore (Shard.post f ~from:0 ~to_:1 (msg "later"));
+  Alcotest.(check int) "a rung shard is not rung again" 1 (wakeups f);
+  d.T.Backend.db_unpark ();
+  Alcotest.(check bool) "unpark empties the pipe" false (readable d.T.Backend.db_fd);
+  Alcotest.(check int) "both frames queued" 2 (Shard.drain f ~me:1 (fun _ -> ()));
+  (* Awake: posts ring nobody. *)
+  ignore (Shard.post f ~from:0 ~to_:1 (msg "busy"));
+  Alcotest.(check int) "an awake shard is never rung" 1 (wakeups f);
+  ignore (Shard.drain f ~me:1 (fun _ -> ()));
+  (* The ring is one byte, however many posts land while parked. *)
+  Alcotest.(check bool) "park again" true (d.T.Backend.db_park ());
+  for i = 1 to 5 do ignore (Shard.post f ~from:0 ~to_:1 (msg (string_of_int i))) done;
+  let buf = Bytes.create 16 in
+  Alcotest.(check int) "one byte in the pipe" 1 (Unix.read d.T.Backend.db_fd buf 0 16);
+  Alcotest.(check int) "rung once more" 2 (wakeups f);
+  d.T.Backend.db_unpark ();
+  Alcotest.(check bool) "still empty" false (readable d.T.Backend.db_fd);
+  ignore (Shard.drain f ~me:1 (fun _ -> ()));
+  (* One bypass per shard. *)
+  Alcotest.check_raises "a second bypass for the same shard"
+    (Invalid_argument "Shard.bypass: shard already has a bypass") (fun () ->
+        ignore (loopback_shard f ~me:1));
+  Alcotest.(check (option int)) "the refused bypass leaks no pipe"
+    (Option.map (fun n -> n + 2) fds0) (open_fds ());
+  b1.T.Backend.close ();
+  Alcotest.(check (option int)) "close releases both pipe fds" fds0 (open_fds ());
+  Alcotest.(check bool) "the read end is closed" true
+    (match Unix.fstat d.T.Backend.db_fd with
+     | _ -> false
+     | exception Unix.Unix_error (Unix.EBADF, _, _) -> true);
+  ignore (Shard.post f ~from:0 ~to_:1 (msg "after close"));
+  Alcotest.(check int) "a closed shard is not rung" 2 (wakeups f)
+
+(* The race on two domains: shard 1 steps a driver whose sleep is
+   capped only at 5 s, while shard 0 posts 1,000 frames, each after
+   the previous one arrived, at seeded random gaps: none, a spin of up
+   to a few µs, or a sleep of up to 100 µs, so posts land in every
+   part of the consumer's step, including between its last drain and
+   its park. Every frame must arrive, and no step may sleep out its
+   timeout: with no later post to ring it, a lost wakeup leaves the
+   frame in the inbox for the whole 5 s. *)
+let doorbell_no_lost_wakeup () =
+  let frames = 1000 and timeout = 5.0 in
+  let f = Shard.create 2 in
+  let consumer = loopback_shard f ~me:1 in
+  let got = Atomic.make 0 and stalled = Atomic.make false in
+  consumer.T.Backend.set_rx (fun ~src:_ _ -> Atomic.incr got);
+  let engine = Horus_sim.Engine.create () in
+  let driver = T.Driver.create ~max_tick:timeout engine [ consumer ] in
+  let longest = ref 0.0 and steps = ref 0 in
+  ignore
+    (Shard.run f (fun ctx ->
+         if ctx.Shard.sx_id = 0 then begin
+           let rng = Random.State.make [| 24 |] in
+           let i = ref 0 in
+           while !i < frames && not (Atomic.get stalled) do
+             (match Random.State.int rng 3 with
+              | 0 -> ()
+              | 1 -> for _ = 1 to Random.State.int rng 2000 do Domain.cpu_relax () done
+              | _ -> Unix.sleepf (Random.State.float rng 0.0001));
+             incr i;
+             ignore (Shard.post f ~from:0 ~to_:1 (msg (string_of_int !i)));
+             while Atomic.get got < !i && not (Atomic.get stalled) do
+               Domain.cpu_relax ()
+             done
+           done
+         end
+         else
+           while Atomic.get got < frames && not (Atomic.get stalled) do
+             let t0 = Unix.gettimeofday () in
+             ignore (T.Driver.step driver);
+             incr steps;
+             let took = Unix.gettimeofday () -. t0 in
+             longest := Float.max !longest took;
+             if took >= 0.8 *. timeout then Atomic.set stalled true
+           done));
+  consumer.T.Backend.close ();
+  if Atomic.get stalled then
+    Alcotest.failf "a step slept %.3f s of its %.0f s timeout with mail waiting (frame %d)"
+      !longest timeout (Atomic.get got + 1);
+  Alcotest.(check int) "every frame arrived" frames (Atomic.get got);
+  let rung = wakeups f in
+  Printf.printf "%d frames, %d driver steps, %d rings, longest step %.1f ms\n" frames !steps
+    rung (!longest *. 1e3);
+  Alcotest.(check bool) "rung at least once, at most once per post" true
+    (rung >= 1 && rung <= frames)
+
 (* --- determinism: sharded cells ------------------------------------ *)
 
 let small_soak =
@@ -269,7 +403,10 @@ let () =
         [ Alcotest.test_case "results in shard order" `Quick run_in_shard_order;
           Alcotest.test_case "exceptions propagate" `Quick run_propagates_failure ] );
       ( "bypass",
-        [ Alcotest.test_case "divert, route, fall back" `Quick
+        [ Alcotest.test_case "doorbell: park/post orderings" `Quick doorbell_orderings;
+          Alcotest.test_case "doorbell: no lost wakeup across domains" `Quick
+            doorbell_no_lost_wakeup;
+          Alcotest.test_case "divert, route, fall back" `Quick
             bypass_diverts_and_falls_back ] );
       ( "determinism",
         [ Alcotest.test_case "shards=1 equals the plain run" `Slow sharded_one_equals_plain;

@@ -137,7 +137,8 @@ let stub_backend () =
       poll = (fun () -> 0);
       close = (fun () -> ());
       stats = T.Backend.fresh_stats ();
-      batch = None },
+      batch = None;
+      doorbell = None },
     fun ~src b -> !rx ~src b )
 
 (* Random bit flips, truncations, extensions and overwrites of a valid

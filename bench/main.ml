@@ -74,7 +74,6 @@ let e1_stack_assembly () =
                  ~group:(Addr.group 0) ~prng:(Horus_util.Prng.create 1)
                  ~transport:{ Horus_hcpi.Layer.xmit = (fun ~dsts:_ _ -> ()) }
                  ~rendezvous:Horus_hcpi.Layer.null_rendezvous ~metrics
-                 ~trace:(fun ~layer:_ ~category:_ _ -> ())
                  ~to_app:(fun _ -> ())
                  ~to_below:(fun _ -> ())
                  (Spec.resolve (Spec.parse spec))

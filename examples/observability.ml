@@ -1,7 +1,7 @@
 (* Observability tour: the focus/dump downcalls (Table 1), TRACE and
-   ACCOUNT layers, the world trace, the promiscuous wiretap, and the
-   metrics registry — how you see what a running protocol stack is
-   doing, at every level.
+   ACCOUNT layers, installed views and per-layer rejection counters,
+   the promiscuous wiretap, and the metrics registry — how you see
+   what a running protocol stack is doing, at every level.
 
    Run with: dune exec examples/observability.exe *)
 
@@ -32,8 +32,16 @@ let () =
   for i = 1 to 5 do
     Group.cast a (Printf.sprintf "message %d" i)
   done;
+  (* A datagram too short for COM's envelope (the group id the
+     simulated attachment routes on, then one byte): b's stack drops it
+     and counts it under layers.COM.rejected. *)
+  let runt = Bytes.create 5 in
+  Bytes.set_int32_be runt 0 (Int32.of_int (Addr.group_id g));
+  Horus_sim.Net.send (World.net world)
+    ~src:(Addr.endpoint_id (Group.addr a))
+    ~dst:(Addr.endpoint_id (Group.addr b))
+    runt;
   World.run_for world ~duration:1.0;
-  ignore b;
 
   (* Level 1: the whole stack, layer by layer (the dump downcall). *)
   Format.printf "=== a's stack (dump downcall) ===@.";
@@ -45,14 +53,20 @@ let () =
    | Some inst -> List.iter (fun l -> Format.printf "  %s@." l) (inst.Horus_hcpi.Layer.dump ())
    | None -> ());
 
-  (* Level 3: the world trace — protocol events with timestamps. *)
-  Format.printf "@.=== world trace (membership events) ===@.";
-  List.iter
-    (fun e ->
-       let c = e.Horus_sim.Trace.category in
-       if String.length c >= 12 && String.sub c 0 12 = "MBRSHIP/view" then
-         Format.printf "  %a@." Horus_sim.Trace.pp_entry e)
-    (Horus_sim.Trace.entries (World.trace world));
+  (* Level 3: what membership settled on, and what the layers refused.
+     Every layer counts the events it cannot parse or will not serve as
+     layers.<LAYER>.rejected; honest traffic never trips one. *)
+  Format.printf "@.=== b's installed views ===@.";
+  List.iter (fun v -> Format.printf "  %s@." (View.to_string v)) (Group.views b);
+  Format.printf "@.=== rejections (layers.*.rejected) ===@.";
+  (match Json.path [ "counters" ] (World.metrics_json world) with
+   | Some (Json.Obj counters) ->
+     List.iter
+       (fun (key, v) ->
+          if String.starts_with ~prefix:"layers." key && String.ends_with ~suffix:".rejected" key
+          then Format.printf "  %-24s %6d@." key (Option.value (Json.to_int v) ~default:0))
+       counters
+   | _ -> ());
 
   (* Level 4: the wire itself. *)
   Format.printf "@.=== wiretap: frames per link ===@.";

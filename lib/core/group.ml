@@ -94,10 +94,6 @@ let join ?contact ?on_up ?(auto_flush_ok = true) ?(record = true) ?(fastpath = f
             ~storage:(World.storage world)
             ~fastpath
             ~metrics:(World.metrics world)
-            ~trace:(fun ~layer ~category detail ->
-                World.(Horus_sim.Trace.record (trace world)) ~time:(World.now world)
-                  ~category:(layer ^ "/" ^ category)
-                  (Format.asprintf "%a %s" Addr.pp_endpoint (Endpoint.addr endpoint) detail))
             ~to_app:(fun ev -> record_up (Lazy.force t) ev)
             (Spec.resolve (Endpoint.spec endpoint));
         auto_flush_ok;

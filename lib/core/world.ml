@@ -1,5 +1,5 @@
-(* A simulated Horus world: the event engine, the network, the trace
-   recorder, address allocation, and the rendezvous (resource location)
+(* A simulated Horus world: the event engine, the network, the metrics
+   registry, address allocation, and the rendezvous (resource location)
    service that membership and merge layers use to find partitions of a
    group.
 
@@ -12,7 +12,6 @@ open Horus_hcpi
 type t = {
   engine : Horus_sim.Engine.t;
   net : Horus_sim.Net.t;
-  trace : Horus_sim.Trace.t;
   metrics : Horus_obs.Metrics.t;
   prng : Horus_util.Prng.t;
   mutable next_eid : int;
@@ -28,7 +27,6 @@ let create ?(config = Horus_sim.Net.default_config) ?(seed = 1) () =
   let engine = Horus_sim.Engine.create ~metrics () in
   { engine;
     net = Horus_sim.Net.create ~config ~seed engine;
-    trace = Horus_sim.Trace.create ();
     metrics;
     prng = Horus_util.Prng.create (seed + 0x5eed);
     next_eid = 0;
@@ -40,8 +38,6 @@ let create ?(config = Horus_sim.Net.default_config) ?(seed = 1) () =
 let engine t = t.engine
 
 let net t = t.net
-
-let trace t = t.trace
 
 let metrics t = t.metrics
 

@@ -1,4 +1,4 @@
-(** A simulated Horus world: event engine, network, tracing, address
+(** A simulated Horus world: event engine, network, metrics, address
     allocation, and the rendezvous (resource-location) service.
     Deterministic in its seed. *)
 
@@ -12,7 +12,6 @@ val create : ?config:Horus_sim.Net.config -> ?seed:int -> unit -> t
 
 val engine : t -> Horus_sim.Engine.t
 val net : t -> Horus_sim.Net.t
-val trace : t -> Horus_sim.Trace.t
 
 val metrics : t -> Horus_obs.Metrics.t
 (** The world's metrics registry: per-layer HCPI crossing counters

@@ -103,7 +103,9 @@ type env = {
   emit_up : Event.up -> unit;     (* toward the application *)
   emit_down : Event.down -> unit; (* toward the network *)
   set_timer : delay:float -> (unit -> unit) -> Horus_sim.Engine.handle;
-  trace : category:string -> string -> unit;
+  reject : unit -> unit;
+      (* count one refused event as layers.<NAME>.rejected; the stack
+         counts a handle_up that raises Msg.Truncated itself *)
   fp_register : (unit -> fastpath option) -> unit;
       (* offer a fast-path compiler; called at most once, from the
          constructor. The stack invokes the compiler lazily whenever

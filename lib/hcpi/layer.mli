@@ -76,7 +76,11 @@ type env = {
   emit_up : Event.up -> unit;
   emit_down : Event.down -> unit;
   set_timer : delay:float -> (unit -> unit) -> Horus_sim.Engine.handle;
-  trace : category:string -> string -> unit;
+  reject : unit -> unit;
+      (** count one refused event (an unknown kind, a bad checksum, a
+          request for seqs never assigned) under [layers.<NAME>.rejected]
+          in the stack's registry, if it has one. A [handle_up] that
+          raises [Msg.Truncated] is counted by the stack itself. *)
   fp_register : (unit -> fastpath option) -> unit;
       (** offer a fast-path compiler (from the constructor, at most
           once); invoked lazily whenever the path is (re)built *)

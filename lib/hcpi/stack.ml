@@ -55,6 +55,7 @@ type t = {
   mutable destroyed : bool;
   mutable processed : int;
   obs : obs option;
+  metrics : Horus_obs.Metrics.t option;
   to_app : Event.up -> unit;
   to_below : Event.down -> unit;
   (* --- fused fast path (Section 10's remedies, combined) --- *)
@@ -71,6 +72,14 @@ let default_to_below ev =
      that is a mis-configured stack, not a runtime condition. *)
   invalid_arg ("Stack: downcall " ^ Event.down_name ev ^ " reached the bottom unhandled")
 
+(* One refused event at layer [i]. The counter is registered on first
+   use, so a run that rejects nothing leaves the registry as it was. *)
+let reject t i =
+  match t.metrics with
+  | None -> ()
+  | Some m ->
+    Horus_obs.Metrics.incr (Horus_obs.Metrics.counter m ("layers." ^ t.names.(i) ^ ".rejected"))
+
 let process t item =
   t.processed <- t.processed + 1;
   (match t.obs with
@@ -84,7 +93,11 @@ let process t item =
       | Thunk _ -> ()));
   match item with
   | Down (i, ev) -> t.layers.(i).Layer.handle_down ev
-  | Up (i, ev) -> t.layers.(i).Layer.handle_up ev
+  | Up (i, ev) ->
+    (* Layer headers are network input: a handler that pops past the
+       end of a short or garbled message drops it here, counted, and
+       the queue goes on. *)
+    (try t.layers.(i).Layer.handle_up ev with Horus_msg.Msg.Truncated _ -> reject t i)
   | To_app ev ->
     (* A view reaching the application means membership settled into a
        new epoch: any compiled fast path is stale. *)
@@ -267,7 +280,7 @@ let fp_try_deliver t ~src m =
 
 let create ~engine ~endpoint ~group ~prng ~transport ~rendezvous
     ?(storage = Layer.null_storage) ?(fastpath = false)
-    ?metrics ~trace ~to_app ?(to_below = default_to_below) spec =
+    ?metrics ~to_app ?(to_below = default_to_below) spec =
   let n = List.length spec in
   if n = 0 then invalid_arg "Stack.create: empty spec";
   let names = Array.of_list (List.map (fun (name, _, _) -> name) spec) in
@@ -308,6 +321,7 @@ let create ~engine ~endpoint ~group ~prng ~transport ~rendezvous
       destroyed = false;
       processed = 0;
       obs;
+      metrics;
       to_app;
       to_below;
       fp_enabled = fastpath;
@@ -317,7 +331,7 @@ let create ~engine ~endpoint ~group ~prng ~transport ~rendezvous
       fp_dirty = fastpath;  (* compile lazily, once the stack settles *)
       fp_obs }
   in
-  let make i (name, params, (ctor : Params.t -> Layer.ctor)) =
+  let make i (_, params, (ctor : Params.t -> Layer.ctor)) =
     let emit_up ev = enqueue t (if i = 0 then To_app ev else Up (i - 1, ev)) in
     let emit_down ev = enqueue t (if i + 1 >= n then To_below ev else Down (i + 1, ev)) in
     let set_timer ~delay f =
@@ -328,7 +342,7 @@ let create ~engine ~endpoint ~group ~prng ~transport ~rendezvous
       { Layer.engine; endpoint; group;
         prng = Horus_util.Prng.copy prng;
         transport; rendezvous; storage; metrics; emit_up; emit_down; set_timer;
-        trace = (fun ~category detail -> trace ~layer:name ~category detail);
+        reject = (fun () -> reject t i);
         fp_register = (fun c -> t.fp_send_compilers.(i) <- Some c);
         fp_register_bottom = (fun c -> t.fp_bottom_compilers.(i) <- Some c);
         fp_invalidate = (fun () -> fp_invalidate_path t) }

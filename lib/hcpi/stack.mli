@@ -17,7 +17,6 @@ val create :
   ?storage:Layer.storage ->
   ?fastpath:bool ->
   ?metrics:Horus_obs.Metrics.t ->
-  trace:(layer:string -> category:string -> string -> unit) ->
   to_app:(Event.up -> unit) ->
   ?to_below:(Event.down -> unit) ->
   (string * Params.t * (Params.t -> Layer.ctor)) list ->
@@ -30,6 +29,13 @@ val create :
     counter (plus [hcpi.to_app] / [hcpi.to_below] for events leaving
     the stack); counters are keyed by layer name, so all stacks over
     one registry accumulate into the same per-layer totals.
+
+    A layer's [handle_up] that raises {!Msg.Truncated} (a header
+    popped past the end of a short message) drops that event: the
+    stack counts it under [layers.<LAYER>.rejected], as the layer's
+    [env.reject] does, and goes on with the next queued event. The
+    counter is registered on first use, so a run that rejects nothing
+    snapshots as if it did not exist.
 
     With [fastpath], steady-state casts are fused: when the queue is
     idle and every participating layer has compiled a fused form (see

@@ -73,12 +73,10 @@ let create params env =
   let handle_up (ev : Event.up) =
     match ev with
     | Event.U_cast (rank, m, meta) ->
-      (try
-         let msgs = Wire.pop_list (fun m -> Msg.pop_string m) m in
-         List.iter
-           (fun payload -> env.Layer.emit_up (Event.U_cast (rank, Msg.create payload, meta)))
-           msgs
-       with Msg.Truncated what -> env.Layer.trace ~category:"dropped" ("truncated " ^ what))
+      let msgs = Wire.pop_list (fun m -> Msg.pop_string m) m in
+      List.iter
+        (fun payload -> env.Layer.emit_up (Event.U_cast (rank, Msg.create payload, meta)))
+        msgs
     | Event.U_view _ ->
       flush t;
       env.Layer.emit_up ev

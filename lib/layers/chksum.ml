@@ -2,8 +2,8 @@
 
    Going down, pushes an FNV-1a checksum over the message as it stands
    (payload plus any headers of layers above). Coming up, verifies and
-   silently drops garbled messages, reducing garbling "to a
-   statistically insignificant rate". *)
+   drops garbled messages, counted as rejections, reducing garbling
+   "to a statistically insignificant rate". *)
 
 open Horus_msg
 open Horus_hcpi
@@ -11,7 +11,6 @@ open Horus_hcpi
 type state = {
   env : Layer.env;
   mutable passed : int;
-  mutable dropped : int;
 }
 
 let sum m =
@@ -20,22 +19,20 @@ let sum m =
 
 let protect m = Msg.push_i64 m (sum m)
 
+(* A short message fails like a garbled one: both are counted as
+   rejections and dropped. *)
 let verify t m =
-  try
-    let declared = Msg.pop_i64 m in
-    if Int64.equal declared (sum m) then true
-    else begin
-      t.dropped <- t.dropped + 1;
-      t.env.Layer.trace ~category:"dropped" "checksum mismatch";
-      false
-    end
-  with Msg.Truncated _ ->
-    t.dropped <- t.dropped + 1;
-    t.env.Layer.trace ~category:"dropped" "truncated";
-    false
+  let ok =
+    try
+      let declared = Msg.pop_i64 m in
+      Int64.equal declared (sum m)
+    with Msg.Truncated _ -> false
+  in
+  if not ok then t.env.Layer.reject ();
+  ok
 
 let create (_ : Params.t) env =
-  let t = { env; passed = 0; dropped = 0 } in
+  let t = { env; passed = 0 } in
   let handle_down (ev : Event.down) =
     (match ev with
      | Event.D_cast m | Event.D_send (_, m) -> protect m
@@ -54,6 +51,6 @@ let create (_ : Params.t) env =
   { Layer.name = "CHKSUM";
     handle_down;
     handle_up;
-    dump = (fun () -> [ Printf.sprintf "passed=%d dropped=%d" t.passed t.dropped ]);
+    dump = (fun () -> [ Printf.sprintf "passed=%d" t.passed ]);
     inert = false;
     stop = (fun () -> ()) }

@@ -72,35 +72,33 @@ let create params env =
   let handle_up (ev : Event.up) =
     match ev with
     | Event.U_send (rank, m, meta) ->
-      (try
-         let kind = Msg.pop_u8 m in
-         if kind = k_app_send then env.Layer.emit_up (Event.U_send (rank, m, meta))
-         else if kind = k_ping then begin
-           (* Echo: requester's send time + our clock. *)
-           let their_send = Msg.pop_i64 m in
-           match (t.view, rank) with
-           | Some v, r when r >= 0 ->
-             let reply = Msg.empty () in
-             Msg.push_i64 reply (Int64.bits_of_float (local_time t));
-             Msg.push_i64 reply their_send;
-             Msg.push_u8 reply k_echo;
-             env.Layer.emit_down (Event.D_send ([ View.nth v r ], reply))
-           | _ -> ()
-         end
-         else if kind = k_echo then begin
-           let my_send = Int64.float_of_bits (Msg.pop_i64 m) in
-           let server_time = Int64.float_of_bits (Msg.pop_i64 m) in
-           let now_raw = raw_clock t in
-           let rtt = now_raw -. my_send in
-           if rtt >= 0.0 then begin
-             (* Cristian: the server clock read happened ~rtt/2 ago. *)
-             let estimate = server_time +. (rtt /. 2.0) -. now_raw in
-             t.offset <- estimate;
-             t.samples <- t.samples + 1
-           end
-         end
-         else env.Layer.trace ~category:"dropped" (Printf.sprintf "unknown kind %d" kind)
-       with Msg.Truncated what -> env.Layer.trace ~category:"dropped" ("truncated " ^ what))
+      let kind = Msg.pop_u8 m in
+      if kind = k_app_send then env.Layer.emit_up (Event.U_send (rank, m, meta))
+      else if kind = k_ping then begin
+        (* Echo: requester's send time + our clock. *)
+        let their_send = Msg.pop_i64 m in
+        match (t.view, rank) with
+        | Some v, r when r >= 0 ->
+          let reply = Msg.empty () in
+          Msg.push_i64 reply (Int64.bits_of_float (local_time t));
+          Msg.push_i64 reply their_send;
+          Msg.push_u8 reply k_echo;
+          env.Layer.emit_down (Event.D_send ([ View.nth v r ], reply))
+        | _ -> ()
+      end
+      else if kind = k_echo then begin
+        let my_send = Int64.float_of_bits (Msg.pop_i64 m) in
+        let server_time = Int64.float_of_bits (Msg.pop_i64 m) in
+        let now_raw = raw_clock t in
+        let rtt = now_raw -. my_send in
+        if rtt >= 0.0 then begin
+          (* Cristian: the server clock read happened ~rtt/2 ago. *)
+          let estimate = server_time +. (rtt /. 2.0) -. now_raw in
+          t.offset <- estimate;
+          t.samples <- t.samples + 1
+        end
+      end
+      else env.Layer.reject ()
     | Event.U_view v ->
       t.view <- Some v;
       t.my_rank <- Option.value (View.rank_of v env.Layer.endpoint) ~default:(-1);

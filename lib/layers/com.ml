@@ -43,7 +43,6 @@ type state = {
   self_meta : Event.meta;
   mutable sent : int;
   mutable received : int;
-  mutable rejected : int; (* bad envelope *)
   mutable filtered : int; (* spurious casts *)
 }
 
@@ -147,17 +146,17 @@ let handle_down t (ev : Event.down) =
   | Event.D_ack _ | Event.D_stable _ | Event.D_flush_ok ->
     (* Stability/flush cooperation downcalls are harmless without a
        consumer; absorb quietly (stability layers are optional). *)
-    t.env.Layer.trace ~category:"absorbed" (Event.down_name ev)
+    ()
   | Event.D_merge _ | Event.D_merge_granted _ | Event.D_merge_denied _
   | Event.D_flush _ | Event.D_suspect _ ->
     (* Membership downcalls reaching the floor mean the stack has no
        membership layer: report it (Table 2's SYSTEM_ERROR). *)
-    t.env.Layer.trace ~category:"absorbed" (Event.down_name ev);
     t.env.Layer.emit_up
       (Event.U_system_error
          (Printf.sprintf "%s downcall requires a membership layer" (Event.down_name ev)))
 
-(* The envelope's kind code, or -1 if the envelope is bad. *)
+(* The envelope's kind code, or -1 if the envelope is bad; a packet
+   too short for one raises Msg.Truncated, which the stack counts. *)
 let pop_envelope_kind m =
   let mg = Msg.pop_u16 m in
   let len = Msg.pop_u16 m in
@@ -166,27 +165,19 @@ let pop_envelope_kind m =
     let k = Msg.pop_u8 m in
     if k = kind_code Cast || k = kind_code Send then k else -1
 
-let reject t =
-  t.rejected <- t.rejected + 1;
-  t.env.Layer.trace ~category:"rejected" "bad envelope"
-
 let handle_up t (ev : Event.up) =
   match ev with
   | Event.U_packet (src, m) ->
     t.received <- t.received + 1;
-    (match pop_envelope_kind m with
-     | exception Msg.Truncated _ -> reject t
-     | -1 -> reject t
-     | k ->
-       let rank = rank_in t.dests src 0 in
-       let meta = if rank >= 0 then t.metas.(rank) else meta_of src in
-       if k = kind_code Send then t.env.Layer.emit_up (Event.U_send (rank, m, meta))
-       else if rank < 0 && t.filter then begin
-         t.filtered <- t.filtered + 1;
-         t.env.Layer.trace ~category:"filtered"
-           (Format.asprintf "cast from non-member %a" Addr.pp_endpoint (Addr.endpoint src))
-       end
-       else t.env.Layer.emit_up (Event.U_cast (rank, m, meta)))
+    let k = pop_envelope_kind m in
+    if k < 0 then t.env.Layer.reject ()
+    else begin
+      let rank = rank_in t.dests src 0 in
+      let meta = if rank >= 0 then t.metas.(rank) else meta_of src in
+      if k = kind_code Send then t.env.Layer.emit_up (Event.U_send (rank, m, meta))
+      else if rank < 0 && t.filter then t.filtered <- t.filtered + 1
+      else t.env.Layer.emit_up (Event.U_cast (rank, m, meta))
+    end
   | Event.U_view _ | Event.U_cast _ | Event.U_send _ | Event.U_merge_request _
   | Event.U_merge_denied _ | Event.U_flush _ | Event.U_flush_ok _ | Event.U_leave _
   | Event.U_lost_message _ | Event.U_stable _ | Event.U_problem _
@@ -198,8 +189,7 @@ let dump t () =
   [ Format.asprintf "dests=[%a]"
       (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f " ") Addr.pp_endpoint)
       (Array.to_list t.dests);
-    Printf.sprintf "sent=%d received=%d rejected=%d filtered=%d" t.sent t.received t.rejected
-      t.filtered ]
+    Printf.sprintf "sent=%d received=%d filtered=%d" t.sent t.received t.filtered ]
 
 (* Fused form (bottom adapter): the full path's [cast] on the way
    down, envelope recognition on the way up. The physical-equality
@@ -237,7 +227,6 @@ let create params env =
       self_meta = meta_of (Addr.endpoint_id env.Layer.endpoint);
       sent = 0;
       received = 0;
-      rejected = 0;
       filtered = 0 }
   in
   env.Layer.fp_register_bottom (compile_fastpath t);

@@ -40,8 +40,7 @@ let create (_ : Params.t) env =
          let flag = Msg.pop_u8 m in
          if flag = 1 then Msg.replace m (Rle.decode (Msg.to_bytes m));
          env.Layer.emit_up ev
-       with Msg.Truncated _ | Rle.Malformed ->
-         env.Layer.trace ~category:"dropped" "malformed compressed message")
+       with Msg.Truncated _ | Rle.Malformed -> env.Layer.reject ())
     | _ -> env.Layer.emit_up ev
   in
   { Layer.name = "COMPRESS";

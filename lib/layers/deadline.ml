@@ -36,20 +36,17 @@ let create params env =
   let handle_up (ev : Event.up) =
     match ev with
     | Event.U_cast (rank, m, meta) ->
-      (try
-         let sent = Int64.float_of_bits (Msg.pop_i64 m) in
-         let age = now () -. sent in
-         if age > t.budget then begin
-           t.dropped_stale <- t.dropped_stale + 1;
-           env.Layer.trace ~category:"stale" (Printf.sprintf "age %.4fs" age);
-           env.Layer.emit_up (Event.U_lost_message rank)
-         end
-         else begin
-           t.delivered_fresh <- t.delivered_fresh + 1;
-           let age_us = int_of_float (age *. 1e6) in
-           env.Layer.emit_up (Event.U_cast (rank, m, ("age_us", age_us) :: meta))
-         end
-       with Msg.Truncated what -> env.Layer.trace ~category:"dropped" ("truncated " ^ what))
+      let sent = Int64.float_of_bits (Msg.pop_i64 m) in
+      let age = now () -. sent in
+      if age > t.budget then begin
+        t.dropped_stale <- t.dropped_stale + 1;
+        env.Layer.emit_up (Event.U_lost_message rank)
+      end
+      else begin
+        t.delivered_fresh <- t.delivered_fresh + 1;
+        let age_us = int_of_float (age *. 1e6) in
+        env.Layer.emit_up (Event.U_cast (rank, m, ("age_us", age_us) :: meta))
+      end
     | _ -> env.Layer.emit_up ev
   in
   { Layer.name = "DEADLINE";

@@ -61,8 +61,7 @@ let create params env =
          Msg.replace m (keystream_xor t ~nonce ~src (Msg.to_bytes m));
          t.decrypted <- t.decrypted + 1;
          env.Layer.emit_up ev
-       with Msg.Truncated _ ->
-         env.Layer.trace ~category:"dropped" "truncated ciphertext")
+       with Msg.Truncated _ -> env.Layer.reject ())
     | _ -> env.Layer.emit_up ev
   in
   { Layer.name = "ENCRYPT";

@@ -186,54 +186,51 @@ let create (_ : Params.t) env =
   let handle_up (ev : Event.up) =
     match ev with
     | Event.U_cast (rank, m, meta) | Event.U_send (rank, m, meta) ->
-      (try
-         let kind = Msg.pop_u8 m in
-         if kind = k_data then begin
-           let seq = Msg.pop_u32 m in
-           let origin = Com.src_of meta in
-           (* Same straggler rule as MBRSHIP: once our STATE is out, a
-              late copy from a failed origin would escape the cut. *)
-           let straggler =
-             match t.recovery with
-             | Some rc -> List.exists (fun e -> Addr.endpoint_id e = origin) rc.rc_failed
-             | None -> false
-           in
-           if straggler then env.Layer.trace ~category:"ignored" "straggler from failed member"
-           else accept_data t ~origin ~seq ~rank m meta
-         end
-         else if kind = k_app_send then env.Layer.emit_up (Event.U_send (rank, m, meta))
-         else if kind = k_state then begin
-           let failed = Wire.pop_endpoint_list m in
-           let vec = pop_pairs m in
-           let copies = pop_copies m in
-           match t.recovery with
-           | Some rc
-             when Addr.equal_endpoint rc.rc_coord (me t) && same_failed failed rc.rc_failed ->
-             let src = Com.src_of meta in
-             if ESet.mem (Addr.endpoint src) rc.rc_waiting then begin
-               rc.rc_waiting <- ESet.remove (Addr.endpoint src) rc.rc_waiting;
-               rc.rc_states <- (src, vec, copies) :: rc.rc_states;
-               if ESet.is_empty rc.rc_waiting then complete_recovery t rc
-             end
-           | Some _ -> ()
-           | None ->
-             t.early_states <- (failed, Com.src_of meta, vec, copies) :: t.early_states
-         end
-         else if kind = k_fwd then
-           List.iter
-             (fun (o, s, p) ->
-                accept_data t ~origin:o ~seq:s ~rank:(rank_of_origin t o) (Msg.create p) [])
-             (pop_copies m)
-         else if kind = k_done then begin
-           let failed = Wire.pop_endpoint_list m in
-           match t.recovery with
-           | Some rc when same_failed failed rc.rc_failed ->
-             rc.rc_done <- true;
-             maybe_release t
-           | Some _ | None -> ()
-         end
-         else env.Layer.trace ~category:"dropped" (Printf.sprintf "unknown kind %d" kind)
-       with Msg.Truncated what -> env.Layer.trace ~category:"dropped" ("truncated " ^ what))
+      let kind = Msg.pop_u8 m in
+      if kind = k_data then begin
+        let seq = Msg.pop_u32 m in
+        let origin = Com.src_of meta in
+        (* Same straggler rule as MBRSHIP: once our STATE is out, a
+           late copy from a failed origin would escape the cut. *)
+        let straggler =
+          match t.recovery with
+          | Some rc -> List.exists (fun e -> Addr.endpoint_id e = origin) rc.rc_failed
+          | None -> false
+        in
+        if not straggler then accept_data t ~origin ~seq ~rank m meta
+      end
+      else if kind = k_app_send then env.Layer.emit_up (Event.U_send (rank, m, meta))
+      else if kind = k_state then begin
+        let failed = Wire.pop_endpoint_list m in
+        let vec = pop_pairs m in
+        let copies = pop_copies m in
+        match t.recovery with
+        | Some rc
+          when Addr.equal_endpoint rc.rc_coord (me t) && same_failed failed rc.rc_failed ->
+          let src = Com.src_of meta in
+          if ESet.mem (Addr.endpoint src) rc.rc_waiting then begin
+            rc.rc_waiting <- ESet.remove (Addr.endpoint src) rc.rc_waiting;
+            rc.rc_states <- (src, vec, copies) :: rc.rc_states;
+            if ESet.is_empty rc.rc_waiting then complete_recovery t rc
+          end
+        | Some _ -> ()
+        | None ->
+          t.early_states <- (failed, Com.src_of meta, vec, copies) :: t.early_states
+      end
+      else if kind = k_fwd then
+        List.iter
+          (fun (o, s, p) ->
+             accept_data t ~origin:o ~seq:s ~rank:(rank_of_origin t o) (Msg.create p) [])
+          (pop_copies m)
+      else if kind = k_done then begin
+        let failed = Wire.pop_endpoint_list m in
+        match t.recovery with
+        | Some rc when same_failed failed rc.rc_failed ->
+          rc.rc_done <- true;
+          maybe_release t
+        | Some _ | None -> ()
+      end
+      else env.Layer.reject ()
     | Event.U_flush failed ->
       (* BMS starts a flush: run the recovery round, and hold the
          application's flush_ok until it completes. *)

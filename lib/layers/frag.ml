@@ -101,25 +101,21 @@ let create params env =
   let handle_up (ev : Event.up) =
     match ev with
     | Event.U_cast (rank, m, meta) ->
-      (try
-         let more = Msg.pop_bool m in
-         let key = Com.src_of meta in
-         (* An unfragmented cast with nothing pending from its origin
-            — the common case — passes straight up. *)
-         if (not more) && not (Hashtbl.mem t.cast_partial key) then
-           env.Layer.emit_up (Event.U_cast (rank, m, meta))
-         else
-           match reassemble t t.cast_partial ~key ~more m with
-           | Some whole -> env.Layer.emit_up (Event.U_cast (rank, whole, meta))
-           | None -> ()
-       with Msg.Truncated _ -> env.Layer.trace ~category:"dropped" "truncated fragment")
+      let more = Msg.pop_bool m in
+      let key = Com.src_of meta in
+      (* An unfragmented cast with nothing pending from its origin
+         — the common case — passes straight up. *)
+      if (not more) && not (Hashtbl.mem t.cast_partial key) then
+        env.Layer.emit_up (Event.U_cast (rank, m, meta))
+      else
+        (match reassemble t t.cast_partial ~key ~more m with
+         | Some whole -> env.Layer.emit_up (Event.U_cast (rank, whole, meta))
+         | None -> ())
     | Event.U_send (rank, m, meta) ->
-      (try
-         let more = Msg.pop_bool m in
-         match reassemble t t.send_partial ~key:(Com.src_of meta) ~more m with
-         | Some whole -> env.Layer.emit_up (Event.U_send (rank, whole, meta))
-         | None -> ()
-       with Msg.Truncated _ -> env.Layer.trace ~category:"dropped" "truncated fragment")
+      let more = Msg.pop_bool m in
+      (match reassemble t t.send_partial ~key:(Com.src_of meta) ~more m with
+       | Some whole -> env.Layer.emit_up (Event.U_send (rank, whole, meta))
+       | None -> ())
     | Event.U_lost_message rank ->
       (* A fragment went missing below; any partial from that origin is
          unusable. We cannot map rank back to eid reliably here, so

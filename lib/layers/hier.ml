@@ -77,10 +77,7 @@ let on_view t v =
      | None -> ());
     t.rep <- Some rep;
     t.rep_changes <- t.rep_changes + 1;
-    Option.iter Horus_obs.Metrics.incr t.m_rep_changes;
-    t.env.Layer.trace ~category:"hier"
-      (Format.asprintf "sub=%d representative %a%s" t.sub Addr.pp_endpoint rep
-         (if is_rep t then " (me)" else ""))
+    Option.iter Horus_obs.Metrics.incr t.m_rep_changes
   end;
   t.rep_lost_at <- None;
   if is_rep t then announce t else withdraw t

@@ -47,9 +47,7 @@ let replay_log t =
            t.env.Layer.emit_up
              (Event.U_cast (rank, Msg.create payload, [ (meta_replayed, 1) ]))
          | None -> ())
-      records;
-    if records <> [] then
-      t.env.Layer.trace ~category:"replay" (Printf.sprintf "%d records" (List.length records))
+      records
   end
 
 let create params env =

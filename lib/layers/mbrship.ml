@@ -282,7 +282,6 @@ let adopt_view t v =
   t.phase <- Normal;
   t.merge_wait <- None;
   t.views_installed <- t.views_installed + 1;
-  t.env.Layer.trace ~category:"view" (View.to_string v);
   t.env.Layer.emit_down (Event.D_view v);
   t.env.Layer.emit_up (Event.U_view v);
   (* Rendezvous bookkeeping: only the coordinator stays registered. *)
@@ -357,23 +356,18 @@ let start_flush t ~failed ~leavers ~joiners ~merge_into =
   in
   t.env.Layer.fp_invalidate ();
   t.phase <- Flushing fl;
-  t.env.Layer.trace ~category:"flush"
-    (Printf.sprintf "start round=%d failed=%d joiners=%d" fl.fl_round (List.length failed)
-       (List.length joiners));
   (* Requester-side merge flushes block awaiting the grantor's install;
      the grantor is outside our view, so no failure suspicion can
      unblock us — a watchdog must. On abort, we re-install our own
      membership under a fresh epoch and resume alone. *)
   (match merge_into with
-   | Some grantor ->
+   | Some _ ->
      let round = fl.fl_round in
      ignore
        (t.env.Layer.set_timer ~delay:t.merge_abort (fun () ->
             match t.phase with
             | Flushing fl'
               when fl'.fl_round = round && Addr.equal_endpoint fl'.fl_coord (me t) ->
-              t.env.Layer.trace ~category:"merge"
-                (Format.asprintf "aborting merge toward %a" Addr.pp_endpoint grantor);
               t.merge_wait <- None;
               t.env.Layer.emit_up (Event.U_merge_denied "merge aborted: grantor unresponsive");
               (match t.view with
@@ -518,7 +512,6 @@ let complete_flush t (fl : flush_ctx) =
            unicast t (Addr.endpoint replier) m
          end)
       fl.fl_replies;
-    t.env.Layer.trace ~category:"halt" "minority partition";
     go_exited t
   end
   else
@@ -606,14 +599,11 @@ let handle_view_install t m =
     (* We were excluded by a view newer than ours: either we asked to
        leave, or the view moved on without us. *)
     go_exited t
-  else
-    (* A stale excluding install — e.g. one addressed to us as a
-       failed member during a partition, retransmitted until the heal,
-       by which point our own partition has reconfigured past it.
-       Treating it as authoritative would exit a member both sides
-       have since moved on with; the epochs say it lost the race. *)
-    t.env.Layer.trace ~category:"stale"
-      (Printf.sprintf "excluding install ltime %d <= epoch %d" (View.ltime v) (epoch t))
+  (* Otherwise a stale excluding install — e.g. one addressed to us as
+     a failed member during a partition, retransmitted until the heal,
+     by which point our own partition has reconfigured past it.
+     Treating it as authoritative would exit a member both sides have
+     since moved on with; the epochs say it lost the race. *)
 
 (* --- suspicion --- *)
 
@@ -627,9 +617,6 @@ let confirm_suspects t es =
   let fresh = List.filter (fun e -> not (is_suspect t e) && View.mem v e) es in
   if fresh <> [] then begin
     t.suspects <- List.fold_left (fun acc e -> ESet.add e acc) t.suspects fresh;
-    List.iter
-      (fun e -> t.env.Layer.trace ~category:"suspect" (Addr.endpoint_to_string e))
-      fresh;
     if i_am_coordinator t then begin
       (* Start a flush, or widen the one in progress. *)
       match t.phase with
@@ -681,7 +668,6 @@ let note_suspects t es =
             && (match t.view with Some v -> View.mem v e | None -> false)
          then begin
            Hashtbl.replace t.pending_suspects eid e;
-           t.env.Layer.trace ~category:"suspect-pending" (Addr.endpoint_to_string e);
            ignore
              (t.env.Layer.set_timer ~delay:t.suspect_grace (fun () ->
                   if Hashtbl.mem t.pending_suspects eid then begin
@@ -700,8 +686,6 @@ let heard_from t eid =
 (* --- merging --- *)
 
 let send_merge_req t contact =
-  t.env.Layer.trace ~category:"merge"
-    (Format.asprintf "requesting merge into %a" Addr.pp_endpoint contact);
   let m = Msg.empty () in
   Wire.push_endpoint_list m (members t);
   Msg.push_u32 m (epoch t);
@@ -778,10 +762,7 @@ let handle_merge_req t m =
          one that is granted. *)
       ()
     else if blocked t || t.granted_peer <> None then
-      t.env.Layer.trace ~category:"merge"
-        (Format.asprintf "deferring merge req from %a (busy)" Addr.pp_endpoint
-           req_coord)
-      (* busy with another reconfiguration; the requester retries *)
+      ()  (* busy with another reconfiguration; the requester retries *)
     else begin
       (* If we had our own request outstanding, cancel it: we are now
          the granting (older) side of this merge. *)
@@ -902,8 +883,7 @@ let epoch_scoped kind =
 let handle_ctl t ~rank ~meta kind m =
   let src = Com.src_of meta in
   ignore rank;
-  if epoch_scoped kind && Msg.pop_u32 m <> epoch t then
-    t.env.Layer.trace ~category:"stale" (Printf.sprintf "kind %d from old epoch" kind)
+  if epoch_scoped kind && Msg.pop_u32 m <> epoch t then ()  (* from an old view *)
   else if kind = k_stab then handle_stab t ~src m
   else if kind = k_flush_req then handle_flush_req t ~src m
   else if kind = k_flush_reply then handle_flush_reply t ~src m
@@ -922,42 +902,38 @@ let handle_ctl t ~rank ~meta kind m =
     confirm_suspects t (Wire.pop_endpoint_list m)
   else if kind = k_halt then go_exited t
   else if kind = k_leave_req then handle_leave_req t ~src
-  else t.env.Layer.trace ~category:"dropped" (Printf.sprintf "unknown kind %d" kind)
+  else t.env.Layer.reject ()
 
 let handle_up t (ev : Event.up) =
   match ev with
   | Event.U_cast (rank, m, meta) | Event.U_send (rank, m, meta) ->
     heard_from t (Com.src_of meta);
-    (try
-       let kind = Msg.pop_u8 m in
-       if kind = k_data then begin
-         let seq = Msg.pop_u32 m in
-         let origin = Com.src_of meta in
-         (* Section 5: after replying to a flush, ignore messages from
-            supposedly failed members — a straggler copy that only some
-            survivors receive would break the agreement cut. (It is not
-            lost: whoever received it pre-reply put it in the reply, and
-            the coordinator forwards it to everyone.) *)
-         let from_failed_post_reply =
-           t.ignore_stragglers
-           && (match t.phase with
-               | Flushing fl ->
-                 fl.fl_replied
-                 && List.exists (fun e -> Addr.endpoint_id e = origin) fl.fl_failed
-               | Normal ->
-                 (* Post-view half of the same rule: the origin was
-                    removed as failed by a view we installed. *)
-                 ISet.mem origin t.failed_set
-               | Idle | Exited -> false)
-         in
-         if from_failed_post_reply then
-           t.env.Layer.trace ~category:"ignored" "straggler from failed member"
-         else accept_data t ~origin ~seq ~rank m meta
-       end
-       else if kind = k_app_send then
-         t.env.Layer.emit_up (Event.U_send (rank, m, meta))
-       else handle_ctl t ~rank ~meta kind m
-     with Msg.Truncated what -> t.env.Layer.trace ~category:"dropped" ("truncated " ^ what))
+    let kind = Msg.pop_u8 m in
+    if kind = k_data then begin
+      let seq = Msg.pop_u32 m in
+      let origin = Com.src_of meta in
+      (* Section 5: after replying to a flush, ignore messages from
+         supposedly failed members — a straggler copy that only some
+         survivors receive would break the agreement cut. (It is not
+         lost: whoever received it pre-reply put it in the reply, and
+         the coordinator forwards it to everyone.) *)
+      let from_failed_post_reply =
+        t.ignore_stragglers
+        && (match t.phase with
+            | Flushing fl ->
+              fl.fl_replied
+              && List.exists (fun e -> Addr.endpoint_id e = origin) fl.fl_failed
+            | Normal ->
+              (* Post-view half of the same rule: the origin was
+                 removed as failed by a view we installed. *)
+              ISet.mem origin t.failed_set
+            | Idle | Exited -> false)
+      in
+      if not from_failed_post_reply then accept_data t ~origin ~seq ~rank m meta
+    end
+    else if kind = k_app_send then
+      t.env.Layer.emit_up (Event.U_send (rank, m, meta))
+    else handle_ctl t ~rank ~meta kind m
   | Event.U_problem e -> note_suspects t [ e ]
   | Event.U_lost_message _ ->
     (* Should not happen under MBRSHIP's requirements (reliable FIFO

@@ -41,8 +41,6 @@ let probe t =
        if Addr.compare_endpoint c me < 0 then begin
          t.merges_started <- t.merges_started + 1;
          t.cooldown_until <- Horus_sim.Engine.now t.env.Layer.engine +. t.backoff;
-         t.env.Layer.trace ~category:"merge"
-           (Format.asprintf "toward %a" Addr.pp_endpoint c);
          t.env.Layer.emit_down (Event.D_merge c)
        end)
   | Some _ | None -> ()

@@ -384,11 +384,18 @@ let buffer_cast t seq framed =
   if Horus_util.Seq_ring.length t.cast_buffer > t.buffer_limit then
     Horus_util.Seq_ring.remove t.cast_buffer (Horus_util.Seq_ring.lowest t.cast_buffer)
 
+(* Serve a peer's request for my casts [from_seq, to_seq] of [epoch].
+   The range is the peer's word, so it is clamped to the seqs I have
+   assigned: an honest request never reaches past my high-water mark,
+   and one that starts beyond it is refused, not answered with a
+   placeholder per seq. *)
 let handle_nak_cast t ~requester m =
   let epoch = Msg.pop_u32 m in
   let from_seq = Msg.pop_u32 m in
-  let to_seq = Msg.pop_u32 m in
-  if epoch = t.epoch then begin
+  let to_seq = Int.min (Msg.pop_u32 m) (t.cast_next_seq - 1) in
+  if epoch <> t.epoch then ()
+  else if from_seq > to_seq then t.env.Layer.reject ()
+  else begin
     t.env.Layer.fp_invalidate ();
     for seq = from_seq to to_seq do
       if Horus_util.Seq_ring.mem t.cast_buffer seq then begin
@@ -483,7 +490,6 @@ let check_failures t =
          in
          if tnow -. last > t.suspect_after then begin
            Hashtbl.replace t.suspected eid ();
-           t.env.Layer.trace ~category:"suspect" (Addr.endpoint_to_string member);
            t.env.Layer.emit_up (Event.U_problem member)
          end
        end)
@@ -596,59 +602,56 @@ let handle_data t ~src ~rank ~meta m ~(is_send : bool) =
 let handle_up t (ev : Event.up) =
   match ev with
   | Event.U_cast (rank, m, meta) | Event.U_send (rank, m, meta) ->
-    (try
-       let kind = Msg.pop_u8 m in
-       let src = Com.src_of meta in
-       heard t src;
-       if kind = k_data_cast then handle_data t ~src ~rank ~meta m ~is_send:false
-       else if kind = k_data_send then handle_data t ~src ~rank ~meta m ~is_send:true
-       else if kind = k_nak_cast then handle_nak_cast t ~requester:src m
-       else if kind = k_status then handle_status t ~src m
-       else if kind = k_placeholder then begin
-         let epoch = Msg.pop_u32 m in
-         let seq = Msg.pop_u32 m in
-         if epoch = t.epoch then accept_cast t ~origin:src ~seq ~rank ~placeholder:true m meta
-       end
-       else if kind = k_ack_send then begin
-         let high = Msg.pop_u32 m in
-         (match Hashtbl.find_opt t.pairs src with
-          | Some lane ->
-            let tnow = now t in
-            (* In place, in the table's own iteration order: the RTT
-               samples feed an EWMA, so their order matters. *)
-            if high > lane.pl_unacked_lo then begin
-              Hashtbl.filter_map_inplace
-                (fun seq u ->
-                   if seq < high then begin
-                     (* Karn's rule: only never-retransmitted messages
-                        yield RTT samples — a retransmitted one's ack
-                        is ambiguous about which copy it answers. *)
-                     if u.u_attempts = 0 then observe_rtt t (tnow -. u.u_sent_at);
-                     None
-                   end
-                   else Some u)
-                lane.pl_unacked;
-              lane.pl_unacked_lo <- Int.min high lane.pl_next_seq
-            end;
-            (* Fast retransmit: the peer acks on every arrival, so an
-               ack naming a seq we still hold means later messages got
-               through while this one is missing — the peer is stuck
-               behind the gap. Resend now rather than waiting out a
-               backoff a partition may have inflated to the cap
-               (rate-limited by min_rto against ack bursts). *)
-            (match Hashtbl.find_opt lane.pl_unacked high with
-             | Some u when tnow -. u.u_last_tx >= t.rto.Rto.min_rto ->
-               u.u_attempts <- u.u_attempts + 1;
-               u.u_due <- next_deadline t ~attempt:u.u_attempts;
-               u.u_last_tx <- tnow;
-               count_retransmission t;
-               xmit_to t (Addr.endpoint src) (Msg.copy u.u_msg)
-             | Some _ | None -> ())
-          | None -> ())
-       end
-       else t.env.Layer.trace ~category:"dropped" (Printf.sprintf "unknown kind %d" kind)
-     with Msg.Truncated what ->
-       t.env.Layer.trace ~category:"dropped" ("truncated: " ^ what))
+    let kind = Msg.pop_u8 m in
+    let src = Com.src_of meta in
+    heard t src;
+    if kind = k_data_cast then handle_data t ~src ~rank ~meta m ~is_send:false
+    else if kind = k_data_send then handle_data t ~src ~rank ~meta m ~is_send:true
+    else if kind = k_nak_cast then handle_nak_cast t ~requester:src m
+    else if kind = k_status then handle_status t ~src m
+    else if kind = k_placeholder then begin
+      let epoch = Msg.pop_u32 m in
+      let seq = Msg.pop_u32 m in
+      if epoch = t.epoch then accept_cast t ~origin:src ~seq ~rank ~placeholder:true m meta
+    end
+    else if kind = k_ack_send then begin
+      let high = Msg.pop_u32 m in
+      (match Hashtbl.find_opt t.pairs src with
+       | Some lane ->
+         let tnow = now t in
+         (* In place, in the table's own iteration order: the RTT
+            samples feed an EWMA, so their order matters. *)
+         if high > lane.pl_unacked_lo then begin
+           Hashtbl.filter_map_inplace
+             (fun seq u ->
+                if seq < high then begin
+                  (* Karn's rule: only never-retransmitted messages
+                     yield RTT samples — a retransmitted one's ack
+                     is ambiguous about which copy it answers. *)
+                  if u.u_attempts = 0 then observe_rtt t (tnow -. u.u_sent_at);
+                  None
+                end
+                else Some u)
+             lane.pl_unacked;
+           lane.pl_unacked_lo <- Int.min high lane.pl_next_seq
+         end;
+         (* Fast retransmit: the peer acks on every arrival, so an
+            ack naming a seq we still hold means later messages got
+            through while this one is missing — the peer is stuck
+            behind the gap. Resend now rather than waiting out a
+            backoff a partition may have inflated to the cap
+            (rate-limited by min_rto against ack bursts). *)
+         (match Hashtbl.find_opt lane.pl_unacked high with
+          | Some u when tnow -. u.u_last_tx >= t.rto.Rto.min_rto ->
+            u.u_attempts <- u.u_attempts + 1;
+            u.u_due <- next_deadline t ~attempt:u.u_attempts;
+            u.u_last_tx <- tnow;
+            count_retransmission t;
+            xmit_to t (Addr.endpoint src) (Msg.copy u.u_msg)
+          | Some _ | None -> ())
+       | None -> ())
+    end
+    else t.env.Layer.reject ()
   | Event.U_view v ->
     (* A view fabricated below (no membership layer underneath us in
        this stack position): synchronize lanes, then pass it on. *)

@@ -113,18 +113,14 @@ let create params env =
     match ev with
     | Event.U_cast (rank, m, meta) ->
       gc t;
-      (try
-         match reassemble t ~key:(Com.src_of meta, 0) m with
-         | Some whole -> env.Layer.emit_up (Event.U_cast (rank, whole, meta))
-         | None -> ()
-       with Msg.Truncated _ -> env.Layer.trace ~category:"dropped" "truncated fragment")
+      (match reassemble t ~key:(Com.src_of meta, 0) m with
+       | Some whole -> env.Layer.emit_up (Event.U_cast (rank, whole, meta))
+       | None -> ())
     | Event.U_send (rank, m, meta) ->
       gc t;
-      (try
-         match reassemble t ~key:(Com.src_of meta, 1) m with
-         | Some whole -> env.Layer.emit_up (Event.U_send (rank, whole, meta))
-         | None -> ()
-       with Msg.Truncated _ -> env.Layer.trace ~category:"dropped" "truncated fragment")
+      (match reassemble t ~key:(Com.src_of meta, 1) m with
+       | Some whole -> env.Layer.emit_up (Event.U_send (rank, whole, meta))
+       | None -> ())
     | _ -> env.Layer.emit_up ev
   in
   { Layer.name = "NFRAG";

@@ -69,15 +69,11 @@ let create params env =
   let handle_up (ev : Event.up) =
     match ev with
     | Event.U_cast (rank, m, meta) ->
-      (try
-         let prio = Msg.pop_u8 m in
-         hold t ~prio (Event.U_cast (rank, m, meta))
-       with Msg.Truncated _ -> env.Layer.trace ~category:"dropped" "truncated")
+      let prio = Msg.pop_u8 m in
+      hold t ~prio (Event.U_cast (rank, m, meta))
     | Event.U_send (rank, m, meta) ->
-      (try
-         let prio = Msg.pop_u8 m in
-         hold t ~prio (Event.U_send (rank, m, meta))
-       with Msg.Truncated _ -> env.Layer.trace ~category:"dropped" "truncated")
+      let prio = Msg.pop_u8 m in
+      hold t ~prio (Event.U_send (rank, m, meta))
     | _ -> env.Layer.emit_up ev
   in
   { Layer.name = "NNAK";

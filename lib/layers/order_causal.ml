@@ -72,20 +72,18 @@ let create (_ : Params.t) env =
   let handle_up (ev : Event.up) =
     match ev with
     | Event.U_cast (rank, m, meta) ->
-      (try
-         let vector = pop_vector m in
-         let h = { h_rank = rank; h_vector = vector; h_msg = m; h_meta = meta } in
-         if deliverable t h then begin
-           t.vt.(rank) <- t.vt.(rank) + 1;
-           env.Layer.emit_up (Event.U_cast (rank, m, meta));
-           deliver_ready t
-         end
-         else begin
-           t.delayed <- t.delayed + 1;
-           t.held <- h :: t.held;
-           deliver_ready t
-         end
-       with Msg.Truncated what -> env.Layer.trace ~category:"dropped" ("truncated " ^ what))
+      let vector = pop_vector m in
+      let h = { h_rank = rank; h_vector = vector; h_msg = m; h_meta = meta } in
+      if deliverable t h then begin
+        t.vt.(rank) <- t.vt.(rank) + 1;
+        env.Layer.emit_up (Event.U_cast (rank, m, meta));
+        deliver_ready t
+      end
+      else begin
+        t.delayed <- t.delayed + 1;
+        t.held <- h :: t.held;
+        deliver_ready t
+      end
     | Event.U_view v ->
       (* Virtual synchrony: the cut is clean, nothing can remain held. *)
       t.held <- [];

@@ -55,9 +55,8 @@ let create (_ : Params.t) env =
          env.Layer.emit_down (Event.D_ack id);
          t.held <- { h_id = id; h_rank = rank; h_msg = m; h_meta = meta } :: t.held
        | None ->
-         (* No stability layer below (mis-stacked); fail open with a
-            trace rather than silently holding forever. *)
-         env.Layer.trace ~category:"unsafe" "delivery without stability id";
+         (* No stability layer below (mis-stacked); fail open rather
+            than silently holding forever. *)
          env.Layer.emit_up ev)
     | Event.U_stable stab ->
       on_stability t stab;

@@ -175,70 +175,66 @@ let create params env =
     match ev with
     | Event.U_cast (rank, m, meta) ->
       heard t rank;
-      (try
-         let kind = Msg.pop_u8 m in
-         if kind = k_data then begin
-           let seq = Msg.pop_u32 m in
-           let id = Stable.make_id ~rank:(Int.max rank 0) ~seq in
-           env.Layer.emit_up (Event.U_cast (rank, m, (Stable.meta_key, id) :: meta));
-           if t.auto_ack then ack t id
-         end
-         else if kind = k_pull then begin
-           let round = Msg.pop_u32 m in
-           match t.view with
-           | Some v when rank >= 0 ->
-             let reply = Msg.empty () in
-             push_vec reply t.own_acks;
-             Msg.push_u32 reply round;
-             Msg.push_u8 reply k_ackvec;
-             t.env.Layer.emit_down (Event.D_send ([ View.nth v rank ], reply))
-           | Some _ | None -> ()
-         end
-         else if kind = k_ackvec then begin
-           let _round = Msg.pop_u32 m in
-           let vec = pop_vec m in
-           if rank >= 0 && Array.length vec = Array.length t.matrix then
-             for origin = 0 to Array.length vec - 1 do
-               if vec.(origin) > t.matrix.(origin).(rank) then
-                 t.matrix.(origin).(rank) <- vec.(origin)
-             done
-         end
-         else if kind = k_matrix then begin
-           let round = Msg.pop_u32 m in
-           let n = Msg.pop_u16 m in
-           let rows = Array.init n (fun _ -> pop_vec m) in
-           if n = Array.length t.matrix then begin
-             for i = 0 to n - 1 do
-               for j = 0 to n - 1 do
-                 if rows.(i).(j) > t.matrix.(i).(j) then t.matrix.(i).(j) <- rows.(i).(j)
-               done
-             done;
-             if round >= t.round then t.round <- round + 1;
-             emit_matrix t
-           end
-         end
-         else env.Layer.trace ~category:"dropped" (Printf.sprintf "unknown kind %d" kind)
-       with Msg.Truncated what -> env.Layer.trace ~category:"dropped" ("truncated " ^ what))
+      let kind = Msg.pop_u8 m in
+      if kind = k_data then begin
+        let seq = Msg.pop_u32 m in
+        let id = Stable.make_id ~rank:(Int.max rank 0) ~seq in
+        env.Layer.emit_up (Event.U_cast (rank, m, (Stable.meta_key, id) :: meta));
+        if t.auto_ack then ack t id
+      end
+      else if kind = k_pull then begin
+        let round = Msg.pop_u32 m in
+        match t.view with
+        | Some v when rank >= 0 ->
+          let reply = Msg.empty () in
+          push_vec reply t.own_acks;
+          Msg.push_u32 reply round;
+          Msg.push_u8 reply k_ackvec;
+          t.env.Layer.emit_down (Event.D_send ([ View.nth v rank ], reply))
+        | Some _ | None -> ()
+      end
+      else if kind = k_ackvec then begin
+        let _round = Msg.pop_u32 m in
+        let vec = pop_vec m in
+        if rank >= 0 && Array.length vec = Array.length t.matrix then
+          for origin = 0 to Array.length vec - 1 do
+            if vec.(origin) > t.matrix.(origin).(rank) then
+              t.matrix.(origin).(rank) <- vec.(origin)
+          done
+      end
+      else if kind = k_matrix then begin
+        let round = Msg.pop_u32 m in
+        let n = Msg.pop_u16 m in
+        let rows = Array.init n (fun _ -> pop_vec m) in
+        if n = Array.length t.matrix then begin
+          for i = 0 to n - 1 do
+            for j = 0 to n - 1 do
+              if rows.(i).(j) > t.matrix.(i).(j) then t.matrix.(i).(j) <- rows.(i).(j)
+            done
+          done;
+          if round >= t.round then t.round <- round + 1;
+          emit_matrix t
+        end
+      end
+      else env.Layer.reject ()
     | Event.U_view v ->
       on_view t v;
       env.Layer.emit_up ev
     | Event.U_send (rank, m, meta) ->
       (* Ack vectors arrive as sends; anything else passes through. *)
       heard t rank;
-      (try
-         let kind = Msg.pop_u8 m in
-         if kind = k_ackvec then begin
-           let _round = Msg.pop_u32 m in
-           let vec = pop_vec m in
-           if rank >= 0 && Array.length vec = Array.length t.matrix then
-             for origin = 0 to Array.length vec - 1 do
-               if vec.(origin) > t.matrix.(origin).(rank) then
-                 t.matrix.(origin).(rank) <- vec.(origin)
-             done
-         end
-         else if kind = k_app_send then env.Layer.emit_up (Event.U_send (rank, m, meta))
-         else env.Layer.trace ~category:"dropped" (Printf.sprintf "unknown send kind %d" kind)
-       with Msg.Truncated what -> env.Layer.trace ~category:"dropped" ("truncated " ^ what))
+      let kind = Msg.pop_u8 m in
+      if kind = k_ackvec then begin
+        let _round = Msg.pop_u32 m in
+        let vec = pop_vec m in
+        if rank >= 0 && Array.length vec = Array.length t.matrix then
+          for origin = 0 to Array.length vec - 1 do
+            if vec.(origin) > t.matrix.(origin).(rank) then
+              t.matrix.(origin).(rank) <- vec.(origin)
+          done
+      end
+      else if kind = k_app_send then env.Layer.emit_up (Event.U_send (rank, m, meta))
+      else env.Layer.reject ()
     | _ -> env.Layer.emit_up ev
   in
   { Layer.name = "PINWHEEL";

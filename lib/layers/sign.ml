@@ -47,7 +47,7 @@ let create params env =
       end
       else begin
         t.forged <- t.forged + 1;
-        env.Layer.trace ~category:"dropped" "bad signature"
+        env.Layer.reject ()
       end
     | _ -> env.Layer.emit_up ev
   in

@@ -118,29 +118,27 @@ let create params env =
   let handle_up (ev : Event.up) =
     match ev with
     | Event.U_cast (rank, m, meta) ->
-      (try
-         let kind = Msg.pop_u8 m in
-         if kind = k_data then begin
-           let seq = Msg.pop_u32 m in
-           if rank >= 0 && rank < Array.length t.recv_count then
-             t.recv_count.(rank) <- Int.max t.recv_count.(rank) (seq + 1);
-           let id = make_id ~rank:(Int.max rank 0) ~seq in
-           env.Layer.emit_up (Event.U_cast (rank, m, (meta_key, id) :: meta));
-           if t.auto_ack then ack t id
-         end
-         else if kind = k_ackvec then begin
-           let n = Msg.pop_u16 m in
-           let vec = Array.init n (fun _ -> Msg.pop_u32 m) in
-           if rank >= 0 && n = Array.length t.matrix then begin
-             for origin = 0 to n - 1 do
-               if vec.(origin) > t.matrix.(origin).(rank) then
-                 t.matrix.(origin).(rank) <- vec.(origin)
-             done;
-             emit_matrix t
-           end
-         end
-         else env.Layer.trace ~category:"dropped" (Printf.sprintf "unknown kind %d" kind)
-       with Msg.Truncated what -> env.Layer.trace ~category:"dropped" ("truncated " ^ what))
+      let kind = Msg.pop_u8 m in
+      if kind = k_data then begin
+        let seq = Msg.pop_u32 m in
+        if rank >= 0 && rank < Array.length t.recv_count then
+          t.recv_count.(rank) <- Int.max t.recv_count.(rank) (seq + 1);
+        let id = make_id ~rank:(Int.max rank 0) ~seq in
+        env.Layer.emit_up (Event.U_cast (rank, m, (meta_key, id) :: meta));
+        if t.auto_ack then ack t id
+      end
+      else if kind = k_ackvec then begin
+        let n = Msg.pop_u16 m in
+        let vec = Array.init n (fun _ -> Msg.pop_u32 m) in
+        if rank >= 0 && n = Array.length t.matrix then begin
+          for origin = 0 to n - 1 do
+            if vec.(origin) > t.matrix.(origin).(rank) then
+              t.matrix.(origin).(rank) <- vec.(origin)
+          done;
+          emit_matrix t
+        end
+      end
+      else env.Layer.reject ()
     | Event.U_view v ->
       on_view t v;
       env.Layer.emit_up ev

@@ -176,47 +176,43 @@ let create (_ : Params.t) env =
   let handle_up (ev : Event.up) =
     match ev with
     | Event.U_cast (rank, m, meta) ->
-      (try
-         let kind = Msg.pop_u8 m in
-         if kind = k_ordered then begin
-           let gseq = Msg.pop_u32 m in
-           (* The next number with nothing buffered is delivered
-              straight through; only early arrivals are buffered. *)
-           if gseq = t.next_deliver && Hashtbl.length t.buffer = 0 then begin
-             t.next_deliver <- gseq + 1;
-             env.Layer.emit_up (Event.U_cast (rank, m, meta))
-           end
-           else begin
-             Hashtbl.replace t.buffer gseq (rank, m, meta);
-             deliver_ready t
-           end
-         end
-         else if kind = k_treq then begin
-           let req_rank = Msg.pop_u16 m in
-           if not (List.mem req_rank t.requests) then
-             t.requests <- t.requests @ [ req_rank ];
-           if have_token t && Queue.is_empty t.pending then drain t
-         end
-         else if kind = k_token then begin
-           let to_rank = Msg.pop_u16 m in
-           let gen = Msg.pop_u32 m in
-           let gseq = Msg.pop_u32 m in
-           if gen > t.token_gen then begin
-             env.Layer.fp_invalidate ();
-             t.token_gen <- gen;
-             t.holder <- to_rank;
-             t.requests <- List.filter (fun r -> r <> to_rank) t.requests;
-             if to_rank = t.my_rank then begin
-               t.next_gseq <- gseq;
-               drain t
-             end
-           end
-           else
-             env.Layer.trace ~category:"stale"
-               (Printf.sprintf "token gen %d <= %d" gen t.token_gen)
-         end
-         else env.Layer.trace ~category:"dropped" (Printf.sprintf "unknown kind %d" kind)
-       with Msg.Truncated what -> env.Layer.trace ~category:"dropped" ("truncated " ^ what))
+      let kind = Msg.pop_u8 m in
+      if kind = k_ordered then begin
+        let gseq = Msg.pop_u32 m in
+        (* The next number with nothing buffered is delivered
+           straight through; only early arrivals are buffered. *)
+        if gseq = t.next_deliver && Hashtbl.length t.buffer = 0 then begin
+          t.next_deliver <- gseq + 1;
+          env.Layer.emit_up (Event.U_cast (rank, m, meta))
+        end
+        else begin
+          Hashtbl.replace t.buffer gseq (rank, m, meta);
+          deliver_ready t
+        end
+      end
+      else if kind = k_treq then begin
+        let req_rank = Msg.pop_u16 m in
+        if not (List.mem req_rank t.requests) then
+          t.requests <- t.requests @ [ req_rank ];
+        if have_token t && Queue.is_empty t.pending then drain t
+      end
+      else if kind = k_token then begin
+        let to_rank = Msg.pop_u16 m in
+        let gen = Msg.pop_u32 m in
+        let gseq = Msg.pop_u32 m in
+        (* A generation at or below ours is a stale hand-off. *)
+        if gen > t.token_gen then begin
+          env.Layer.fp_invalidate ();
+          t.token_gen <- gen;
+          t.holder <- to_rank;
+          t.requests <- List.filter (fun r -> r <> to_rank) t.requests;
+          if to_rank = t.my_rank then begin
+            t.next_gseq <- gseq;
+            drain t
+          end
+        end
+      end
+      else env.Layer.reject ()
     | Event.U_view v -> on_view t v
     | _ -> env.Layer.emit_up ev
   in

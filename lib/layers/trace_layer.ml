@@ -1,6 +1,6 @@
 (* TRACE: tracing / statistics layer (Figure 1's "tracing" type).
 
-   Counts and optionally records every event crossing it, in both
+   Counts every event crossing it, and its bytes, in both
    directions. Insert anywhere in a stack to observe the traffic at
    that level; the dump downcall reports the counters. *)
 
@@ -8,7 +8,6 @@ open Horus_hcpi
 
 type state = {
   env : Layer.env;
-  verbose : bool;
   mutable down_events : int;
   mutable up_events : int;
   mutable down_bytes : int;
@@ -26,10 +25,9 @@ let up_msg_bytes (ev : Event.up) =
     Horus_msg.Msg.length m
   | _ -> 0
 
-let create params env =
+let create (_ : Params.t) env =
   let t =
     { env;
-      verbose = Params.get_bool params "verbose" ~default:false;
       down_events = 0;
       up_events = 0;
       down_bytes = 0;
@@ -38,13 +36,11 @@ let create params env =
   let handle_down ev =
     t.down_events <- t.down_events + 1;
     t.down_bytes <- t.down_bytes + msg_bytes ev;
-    if t.verbose then t.env.Layer.trace ~category:"down" (Event.down_name ev);
     t.env.Layer.emit_down ev
   in
   let handle_up ev =
     t.up_events <- t.up_events + 1;
     t.up_bytes <- t.up_bytes + up_msg_bytes ev;
-    if t.verbose then t.env.Layer.trace ~category:"up" (Event.up_name ev);
     t.env.Layer.emit_up ev
   in
   { Layer.name = "TRACE";

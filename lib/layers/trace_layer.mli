@@ -1,5 +1,5 @@
 (** TRACE: event and byte counters in both directions (Figure 1's
-    "tracing" type). Parameter [verbose] also records each event in the
-    world trace. The dump downcall reports the counters. *)
+    "tracing" type). It takes no parameters. The dump downcall reports
+    the counters. *)
 
 val create : Horus_hcpi.Params.t -> Horus_hcpi.Layer.ctor

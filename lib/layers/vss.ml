@@ -121,36 +121,33 @@ let create (_ : Params.t) env =
   let handle_up (ev : Event.up) =
     match ev with
     | Event.U_cast (rank, m, meta) | Event.U_send (rank, m, meta) ->
-      (try
-         let kind = Msg.pop_u8 m in
-         if kind = k_data then begin
-           let seq = Msg.pop_u32 m in
-           let origin = Com.src_of meta in
-           let straggler =
-             match t.exchange with
-             | Some ex -> List.exists (fun e -> Addr.endpoint_id e = origin) ex.ex_failed
-             | None -> false
-           in
-           if straggler then env.Layer.trace ~category:"ignored" "straggler from failed member"
-           else accept_data t ~origin ~seq ~rank m meta
-         end
-         else if kind = k_app_send then env.Layer.emit_up (Event.U_send (rank, m, meta))
-         else if kind = k_state then begin
-           let failed = Wire.pop_endpoint_list m in
-           let copies = pop_copies m in
-           List.iter
-             (fun (o, s, p) ->
-                accept_data t ~origin:o ~seq:s ~rank:(rank_of_origin t o) (Msg.create p) [])
-             copies;
-           match t.exchange with
-           | Some ex when same_failed failed ex.ex_failed ->
-             ex.ex_waiting <- ESet.remove (Addr.endpoint (Com.src_of meta)) ex.ex_waiting;
-             maybe_release t
-           | Some _ -> ()
-           | None -> t.early_states <- (failed, Com.src_of meta) :: t.early_states
-         end
-         else env.Layer.trace ~category:"dropped" (Printf.sprintf "unknown kind %d" kind)
-       with Msg.Truncated what -> env.Layer.trace ~category:"dropped" ("truncated " ^ what))
+      let kind = Msg.pop_u8 m in
+      if kind = k_data then begin
+        let seq = Msg.pop_u32 m in
+        let origin = Com.src_of meta in
+        let straggler =
+          match t.exchange with
+          | Some ex -> List.exists (fun e -> Addr.endpoint_id e = origin) ex.ex_failed
+          | None -> false
+        in
+        if not straggler then accept_data t ~origin ~seq ~rank m meta
+      end
+      else if kind = k_app_send then env.Layer.emit_up (Event.U_send (rank, m, meta))
+      else if kind = k_state then begin
+        let failed = Wire.pop_endpoint_list m in
+        let copies = pop_copies m in
+        List.iter
+          (fun (o, s, p) ->
+             accept_data t ~origin:o ~seq:s ~rank:(rank_of_origin t o) (Msg.create p) [])
+          copies;
+        match t.exchange with
+        | Some ex when same_failed failed ex.ex_failed ->
+          ex.ex_waiting <- ESet.remove (Addr.endpoint (Com.src_of meta)) ex.ex_waiting;
+          maybe_release t
+        | Some _ -> ()
+        | None -> t.early_states <- (failed, Com.src_of meta) :: t.early_states
+      end
+      else env.Layer.reject ()
     | Event.U_flush failed ->
       start_exchange t failed;
       env.Layer.emit_up ev

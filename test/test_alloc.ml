@@ -29,7 +29,14 @@
    same message as an unfused one and skips the event queue, and a
    fused delivery allocates nothing to name its sender, so it must
    allocate no more than the unfused cast, and it stays under a
-   ceiling of its own, close to its measured value. *)
+   ceiling of its own, close to its measured value.
+
+   A last window has all three members cast in turn. TOTAL's token
+   then moves on nearly every cast, so this window covers the hand-off
+   path (token requests, stale hand-offs, fast-path invalidation) that
+   a single caster never takes. It has a ceiling close to its measured
+   value, so formatting or logging that creeps back onto the hand-off
+   fails it. *)
 
 open Horus
 
@@ -45,8 +52,9 @@ let cast_period = 0.0005
 let warmup_s = 2.0
 let measure_s = 4.0
 
-(* Words per cast over the measured window. *)
-let words_per_cast ~fastpath ~caster_spec =
+(* Words per cast over the measured window; with [round_robin] every
+   member casts in turn, else only the first. *)
+let words_per_cast ?(round_robin = false) ~fastpath ~caster_spec () =
   let world = World.create ~seed:1 () in
   let g = World.fresh_group_addr world in
   let delivered = ref 0 in
@@ -68,10 +76,11 @@ let words_per_cast ~fastpath ~caster_spec =
        | _ -> Alcotest.fail "the three members did not settle into one view")
     (caster :: others);
   let payload = String.make 64 'w' in
+  let casters = Array.of_list (if round_robin then caster :: others else [ caster ]) in
   let run_casts seconds =
     let n = int_of_float (seconds /. cast_period) in
-    for _ = 1 to n do
-      Group.cast caster payload;
+    for i = 1 to n do
+      Group.cast casters.(i mod Array.length casters) payload;
       World.run_for world ~duration:cast_period
     done;
     n
@@ -94,13 +103,24 @@ let ceiling = 496.0
    again on each fused delivery (367 words per cast) fail it. *)
 let fused_ceiling = 350.0
 
+(* About 3 % over the 1,041.5 words per round-robin cast measured
+   (OCaml 5.1.1, x86-64). While layers still formatted strings into a
+   world trace (TOTAL on every stale token hand-off, among others),
+   the window measured 1,448.7. *)
+let round_robin_ceiling = 1073.0
+
 let test_budget () =
-  let default = words_per_cast ~fastpath:false ~caster_spec:stack in
-  let slow = words_per_cast ~fastpath:false ~caster_spec:slow_stack in
-  let fused = words_per_cast ~fastpath:true ~caster_spec:stack in
+  let default = words_per_cast ~fastpath:false ~caster_spec:stack () in
+  let slow = words_per_cast ~fastpath:false ~caster_spec:slow_stack () in
+  let fused = words_per_cast ~fastpath:true ~caster_spec:stack () in
+  let round_robin = words_per_cast ~round_robin:true ~fastpath:false ~caster_spec:stack () in
   Printf.printf
-    "minor words per cast: default periods %.0f, caster's periods 8x %.0f, fused %.0f\n"
-    default slow fused;
+    "minor words per cast: default periods %.0f, caster's periods 8x %.0f, fused %.0f, \
+     round robin %.1f\n"
+    default slow fused round_robin;
+  if round_robin > round_robin_ceiling then
+    Alcotest.failf "%.0f minor words per round-robin cast exceeds the ceiling of %.0f"
+      round_robin round_robin_ceiling;
   if default > ceiling then
     Alcotest.failf "%.0f minor words per cast exceeds the ceiling of %.0f" default ceiling;
   if fused > fused_ceiling then

@@ -74,13 +74,16 @@ let link_rig () =
 
 let rigs = [ ("sim", sim_rig); ("loopback link", link_rig) ]
 
-(* COM's [rejected] and [filtered] counters, from its dump. *)
+(* COM's rejections, from the world's registry, and its [filtered]
+   count, from its dump. *)
 let com_counts g =
+  let metrics = World.metrics (Endpoint.world (Group.endpoint g)) in
+  let rejected = Metrics.count (Metrics.counter metrics "layers.COM.rejected") in
   match Group.focus g "COM" with
   | None -> Alcotest.fail "no COM layer"
   | Some l ->
     Scanf.sscanf (List.nth (l.Horus_hcpi.Layer.dump ()) 1)
-      "sent=%_d received=%_d rejected=%d filtered=%d" (fun r f -> (r, f))
+      "sent=%_d received=%_d filtered=%d" (fun f -> (rejected, f))
 
 (* A cast datagram under COM's envelope: magic, length, kind. *)
 let envelope payload =

@@ -220,6 +220,65 @@ let test_lost_message_upcall () =
     (Group.casts b);
   Alcotest.(check int) "no spurious loss" 0 !lost
 
+(* --- the stack's rejection catch --- *)
+
+module Layer = Horus_hcpi.Layer
+module Stack = Horus_hcpi.Stack
+
+(* A one-layer stack whose layer reads a u32 header off every cast, so
+   an empty cast makes its handle_up raise Msg.Truncated. *)
+let popper_stack ?metrics ~to_app () =
+  let popper (_ : Params.t) (env : Layer.env) =
+    { (Layer.passthrough ~name:"POPPER" env) with
+      Layer.handle_up =
+        (fun ev ->
+           match ev with
+           | Event.U_cast (rank, m, meta) ->
+             ignore (Msg.pop_u32 m);
+             env.Layer.emit_up (Event.U_cast (rank, m, meta))
+           | _ -> env.Layer.emit_up ev) }
+  in
+  Stack.create ~engine:(Horus_sim.Engine.create ()) ~endpoint:(Addr.endpoint 0)
+    ~group:(Addr.group 0) ~prng:(Horus_util.Prng.create 1)
+    ~transport:{ Layer.xmit = (fun ~dsts:_ _ -> ()) }
+    ~rendezvous:Layer.null_rendezvous ?metrics ~to_app ~to_below:ignore
+    [ ("POPPER", Params.empty, popper) ]
+
+(* Queue a short cast and then a whole one in the same drain; return
+   the payloads that reached the application. *)
+let short_then_whole ?metrics () =
+  let delivered = ref [] in
+  let to_app = function
+    | Event.U_cast (_, m, _) -> delivered := Msg.to_string m :: !delivered
+    | _ -> ()
+  in
+  let stack = popper_stack ?metrics ~to_app () in
+  let whole = Msg.create "whole" in
+  Msg.push_u32 whole 7;
+  Stack.post stack (fun () ->
+      Stack.inject_up stack (Event.U_cast (0, Msg.empty (), []));
+      Stack.inject_up stack (Event.U_cast (0, whole, [])));
+  List.rev !delivered
+
+let test_truncated_header_counted () =
+  let metrics = Metrics.create () in
+  let rejected () =
+    Option.bind (Json.path [ "counters"; "layers.POPPER.rejected" ] (Metrics.to_json metrics))
+      Json.to_int
+  in
+  (* A whole cast alone registers no counter. *)
+  let clean = popper_stack ~metrics ~to_app:ignore () in
+  let m = Msg.empty () in
+  Msg.push_u32 m 7;
+  Stack.inject_up clean (Event.U_cast (0, m, []));
+  Alcotest.(check (option int)) "no counter before a rejection" None (rejected ());
+  Alcotest.(check (list string)) "the next event is processed" [ "whole" ]
+    (short_then_whole ~metrics ());
+  Alcotest.(check (option int)) "one rejection counted" (Some 1) (rejected ());
+  (* Without a registry, the catch still holds and nothing is kept. *)
+  Alcotest.(check (list string)) "no registry: next event processed" [ "whole" ]
+    (short_then_whole ())
+
 let () =
   Alcotest.run "hcpi"
     [ ( "coverage",
@@ -227,4 +286,7 @@ let () =
           Alcotest.test_case "FLUSH_OK and LEAVE upcalls" `Quick
             test_flush_ok_and_leave_upcalls;
           Alcotest.test_case "loss recovery without spurious LOST_MESSAGE" `Quick
-            test_lost_message_upcall ] ) ]
+            test_lost_message_upcall ] );
+      ( "reject",
+        [ Alcotest.test_case "truncated header counted, queue goes on" `Quick
+            test_truncated_header_counted ] ) ]

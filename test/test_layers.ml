@@ -172,6 +172,56 @@ let test_nak_placeholders_after_wrap () =
     (Group.casts b);
   Alcotest.(check int) "seven placeholders after the wrap" 7 (Group.lost_messages b)
 
+(* A peer's NAK names the range it wants; the origin serves only the
+   seqs it has assigned. A current-epoch request reaching 10,000 seqs
+   past the origin's high-water mark gets the few real copies, not a
+   placeholder per named seq, and the refused tail is counted. *)
+let test_nak_request_clamped () =
+  let world, members = mk_group ~n:3 () in
+  let a, b = match members with a :: b :: _ -> (a, b) | _ -> assert false in
+  List.iter (Group.cast a) (payloads 5 "n");
+  World.run_for world ~duration:0.5;
+  let epoch, next_seq =
+    match Group.focus a "NAK" with
+    | Some l ->
+      Scanf.sscanf (List.hd (l.Horus_hcpi.Layer.dump ())) "epoch=%d next_seq=%d" (fun e n -> (e, n))
+    | None -> Alcotest.fail "no NAK layer"
+  in
+  (* b's request, as the wire carries it: group id, COM's envelope for
+     a send, NAK's kind, epoch, from and to. *)
+  let request ~from_seq ~to_seq =
+    let m = Msg.empty () in
+    Msg.push_u32 m to_seq;
+    Msg.push_u32 m from_seq;
+    Msg.push_u32 m epoch;
+    Msg.push_u8 m 2 (* NAK's k_nak_cast *);
+    Msg.push_u8 m 1 (* COM's Send *);
+    Msg.push_u16 m (Msg.length m);
+    Msg.push_u16 m Horus_layers.Com.magic;
+    Msg.push_u32 m (Addr.group_id (Group.group a));
+    Msg.to_bytes m
+  in
+  let net = World.net world in
+  let sent () = (Horus_sim.Net.stats net).Horus_sim.Net.sent in
+  let inject frame =
+    let before = sent () in
+    Horus_sim.Net.send net ~src:(Addr.endpoint_id (Group.addr b))
+      ~dst:(Addr.endpoint_id (Group.addr a)) frame;
+    World.run_for world ~duration:0.1;
+    sent () - before
+  in
+  let rejected () =
+    Metrics.count (Metrics.counter (World.metrics world) "layers.NAK.rejected")
+  in
+  let grew = inject (request ~from_seq:0 ~to_seq:(next_seq + 10_000)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d datagrams for %d assigned seqs" grew next_seq)
+    true (grew < next_seq + 32);
+  Alcotest.(check int) "a range inside the mark is not refused" 0 (rejected ());
+  let grew = inject (request ~from_seq:(next_seq + 1) ~to_seq:(next_seq + 10_000)) in
+  Alcotest.(check bool) (Printf.sprintf "%d datagrams for none assigned" grew) true (grew < 32);
+  Alcotest.(check int) "a range past the mark is refused" 1 (rejected ())
+
 (* --- FRAG --- *)
 
 let test_frag_large_message () =
@@ -235,7 +285,6 @@ let frag_stack ~frag_size ~to_app ~to_below =
     ~group:(Addr.group 0) ~prng:(Horus_util.Prng.create 1)
     ~transport:{ Horus_hcpi.Layer.xmit = (fun ~dsts:_ _ -> ()) }
     ~rendezvous:Horus_hcpi.Layer.null_rendezvous
-    ~trace:(fun ~layer:_ ~category:_ _ -> ())
     ~to_app ~to_below
     (Spec.resolve (Spec.parse (Printf.sprintf "FRAG(frag_size=%d)" frag_size)))
 
@@ -352,7 +401,13 @@ let test_chksum_drops_garbled () =
     (fun p -> Alcotest.(check bool) "only pristine payloads surface" true (List.mem p msgs))
     (Group.casts b);
   (* loopback skips the wire, so a keeps its own *)
-  Alcotest.(check int) "loopback intact" 20 (List.length (Group.casts a))
+  Alcotest.(check int) "loopback intact" 20 (List.length (Group.casts a));
+  (* The drops are counted, not silent. *)
+  let rejected layer =
+    Metrics.count (Metrics.counter (World.metrics world) ("layers." ^ layer ^ ".rejected"))
+  in
+  Alcotest.(check bool) "garbled copies counted as rejections" true
+    (rejected "CHKSUM" + rejected "COM" > 0)
 
 let test_chksum_passes_clean () =
   let world, members = mk_group ~spec:"CHKSUM:NAK:COM" () in
@@ -555,6 +610,7 @@ let () =
             test_nak_placeholder_lost_message;
           Alcotest.test_case "placeholders after the ring wraps" `Quick
             test_nak_placeholders_after_wrap;
+          Alcotest.test_case "request clamped to assigned seqs" `Quick test_nak_request_clamped;
           Alcotest.test_case "PROBLEM on silence" `Quick test_nak_problem_on_silence;
           Alcotest.test_case "no false suspicion" `Quick test_nak_no_problem_when_alive ] );
       ( "frag",

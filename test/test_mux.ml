@@ -127,11 +127,12 @@ let unknown_gid_counted () =
    | [] -> Alcotest.fail "no delivery");
   Alcotest.(check int) "no unknown gids yet" 0 (Transport_link.unknown_gid link);
   let com_counts () =
+    let rejected = Metrics.count (Metrics.counter (World.metrics world) "layers.COM.rejected") in
     match Group.focus other "COM" with
     | None -> Alcotest.fail "no COM layer"
     | Some l ->
       Scanf.sscanf (List.nth (l.Horus_hcpi.Layer.dump ()) 1)
-        "sent=%_d received=%_d rejected=%d filtered=%d" (fun r f -> (r, f))
+        "sent=%_d received=%_d filtered=%d" (fun f -> (rejected, f))
   in
   let rejected0, filtered0 = com_counts () in
   (* Inject valid frames for a gid neither socket has joined, plus two

@@ -223,22 +223,6 @@ let test_net_detach () =
   Engine.run e;
   Alcotest.(check int) "detached gets nothing" 0 (List.length !got)
 
-(* --- Trace --- *)
-
-let test_trace_records () =
-  let tr = Trace.create () in
-  Trace.record tr ~time:1.0 ~category:"a" "one";
-  Trace.record tr ~time:2.0 ~category:"b" "two";
-  Alcotest.(check int) "count" 2 (Trace.count tr);
-  Alcotest.(check int) "filter" 1 (List.length (Trace.find tr ~category:"a"))
-
-let test_trace_limit () =
-  let tr = Trace.create ~limit:3 () in
-  for i = 1 to 10 do
-    Trace.record tr ~time:(float_of_int i) ~category:"x" "y"
-  done;
-  Alcotest.(check int) "bounded" 3 (Trace.count tr)
-
 let () =
   Alcotest.run "sim"
     [ ( "engine",
@@ -264,7 +248,4 @@ let () =
           Alcotest.test_case "duplicate" `Quick test_net_duplicate;
           Alcotest.test_case "mtu" `Quick test_net_mtu;
           Alcotest.test_case "jitter reorders" `Quick test_net_jitter_reorders;
-          Alcotest.test_case "detach" `Quick test_net_detach ] );
-      ( "trace",
-        [ Alcotest.test_case "records" `Quick test_trace_records;
-          Alcotest.test_case "limit" `Quick test_trace_limit ] ) ]
+          Alcotest.test_case "detach" `Quick test_net_detach ] ) ]

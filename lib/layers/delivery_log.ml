@@ -26,7 +26,7 @@ open Horus_hcpi
 
 module Ring = Horus_util.Seq_ring
 
-type stashed = { st_rank : int; st_msg : Msg.t; st_meta : Event.meta }
+type stashed = { st_msg : Msg.t; st_up : Event.up (* delivers [st_msg] *) }
 
 type lane = {
   origin : int;
@@ -94,28 +94,35 @@ let advance t ~origin ~seq ~payload =
   l.next <- seq + 1;
   Ring.set l.store seq (Msg.freeze payload)
 
-(* Deliver [m], the lane's next expected cast, then whatever the stash
-   holds right behind it. *)
-let rec deliver_run t l ~seq ~rank m meta =
+(* Deliver [m], the lane's next expected cast, by [up], then whatever
+   the stash holds right behind it. *)
+let rec deliver_run t l ~seq m up =
   l.next <- seq + 1;
   Ring.set l.store seq (Msg.freeze m);
-  t.emit_up (Event.U_cast (rank, m, meta));
+  t.emit_up up;
   let seq = seq + 1 in
   if Hashtbl.length l.stash > 0 then
     match Hashtbl.find l.stash seq with
     | s ->
       Hashtbl.remove l.stash seq;
       t.stashed <- t.stashed - 1;
-      deliver_run t l ~seq ~rank:s.st_rank s.st_msg s.st_meta
+      deliver_run t l ~seq s.st_msg s.st_up
     | exception Not_found -> ()
 
-let accept t ~origin ~seq ~rank m meta =
+let accept t ~origin ~seq m up =
   let l = lane t origin in
-  if seq = l.next then deliver_run t l ~seq ~rank m meta
+  if seq = l.next then deliver_run t l ~seq m up
   else if seq > l.next then begin
     if not (Hashtbl.mem l.stash seq) then t.stashed <- t.stashed + 1;
-    Hashtbl.replace l.stash seq { st_rank = rank; st_msg = m; st_meta = meta }
+    Hashtbl.replace l.stash seq { st_msg = m; st_up = up }
   end
+
+(* A layer that pops its header off a cast passes on the upcall that
+   carried it, which then says exactly this. *)
+let cast_upcall ev ~rank m meta =
+  match ev with
+  | Event.U_cast (r, m', meta') when r = rank && m' == m && meta' == meta -> ev
+  | _ -> Event.U_cast (rank, m, meta)
 
 (* Lanes in origin order, for the sorted flush outputs. *)
 let sorted_lanes t =

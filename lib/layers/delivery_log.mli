@@ -39,12 +39,18 @@ val advance : t -> origin:int -> seq:int -> payload:Msg.t -> unit
     origin's lane past [seq] and log [payload]'s live bytes, as
     {!record} does — the fused-delivery commit. *)
 
-val accept : t -> origin:int -> seq:int -> rank:int -> Msg.t -> Event.meta -> unit
-(** Deliver in per-origin sequence as [U_cast (rank, m, meta)],
-    logging each delivered payload, then deliver whatever was stashed
-    right behind it; stash ahead-of-sequence arrivals (a later arrival
-    with the same seq replaces the stashed one); drop duplicates.
-    [rank] is delivered as given: resolve it before the call. *)
+val accept : t -> origin:int -> seq:int -> Msg.t -> Event.up -> unit
+(** [accept t ~origin ~seq m up] delivers [m] in per-origin sequence
+    by [up], its [U_cast], logging each delivered payload, then
+    delivers whatever was stashed right behind it; stashes
+    ahead-of-sequence arrivals (a later arrival with the same seq
+    replaces the stashed one); drops duplicates. *)
+
+val cast_upcall : Event.up -> rank:int -> Msg.t -> Event.meta -> Event.up
+(** [cast_upcall ev ~rank m meta] is [U_cast (rank, m, meta)]: [ev]
+    itself when it already is that upcall — as the one that carried
+    [m] up to a layer is, once the layer has popped its header — else
+    a new one. *)
 
 val vector : t -> (int * int) list
 (** Sorted (origin, next expected) pairs, for every origin with a

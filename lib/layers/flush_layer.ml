@@ -62,9 +62,9 @@ let rank_of_origin t origin =
   | None -> -1
   | Some v -> Option.value (View.rank_of v (Addr.endpoint origin)) ~default:(-1)
 
-let accept_data t ~origin ~seq ~rank m meta =
+let accept_data t ~origin ~seq ~rank m meta ev =
   let rank = if rank >= 0 then rank else rank_of_origin t origin in
-  Delivery_log.accept t.log ~origin ~seq ~rank m meta
+  Delivery_log.accept t.log ~origin ~seq m (Delivery_log.cast_upcall ev ~rank m meta)
 
 let vector t = Delivery_log.vector t.log
 
@@ -197,7 +197,7 @@ let create (_ : Params.t) env =
           | Some rc -> List.exists (fun e -> Addr.endpoint_id e = origin) rc.rc_failed
           | None -> false
         in
-        if not straggler then accept_data t ~origin ~seq ~rank m meta
+        if not straggler then accept_data t ~origin ~seq ~rank m meta ev
       end
       else if kind = k_app_send then env.Layer.emit_up (Event.U_send (rank, m, meta))
       else if kind = k_state then begin
@@ -220,7 +220,9 @@ let create (_ : Params.t) env =
       else if kind = k_fwd then
         List.iter
           (fun (o, s, p) ->
-             accept_data t ~origin:o ~seq:s ~rank:(rank_of_origin t o) (Msg.create p) [])
+             let copy = Msg.create p in
+             Delivery_log.accept t.log ~origin:o ~seq:s copy
+               (Event.U_cast (rank_of_origin t o, copy, [])))
           (pop_copies m)
       else if kind = k_done then begin
         let failed = Wire.pop_endpoint_list m in

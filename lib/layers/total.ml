@@ -69,8 +69,18 @@ let stamp t m =
   t.next_gseq <- t.next_gseq + 1;
   t.casts_ordered <- t.casts_ordered + 1
 
-(* Holder: cast everything pending, then hand the token to the first
+(* Holder, once its backlog is cast: hand the token to the first
    requester, if any. *)
+let hand_off t =
+  t.requested <- false;
+  match t.requests with
+  | r :: rest when r <> t.my_rank ->
+    t.requests <- rest;
+    send_token t ~to_rank:r
+  | r :: rest when r = t.my_rank -> t.requests <- rest
+  | _ -> ()
+
+(* Holder: cast everything pending, then hand off. *)
 let drain t =
   if have_token t then begin
     while not (Queue.is_empty t.pending) do
@@ -78,13 +88,7 @@ let drain t =
       stamp t m;
       cast_down t m
     done;
-    t.requested <- false;
-    match t.requests with
-    | r :: rest when r <> t.my_rank ->
-      t.requests <- rest;
-      send_token t ~to_rank:r
-    | r :: rest when r = t.my_rank -> t.requests <- rest
-    | _ -> ()
+    hand_off t
   end
 
 let request_token t =
@@ -148,6 +152,12 @@ let create (_ : Params.t) env =
   in
   let handle_down (ev : Event.down) =
     match ev with
+    | Event.D_cast m when have_token t && Queue.is_empty t.pending ->
+      (* What [drain] would do with it alone: stamp it and pass it on,
+         here as it came. *)
+      stamp t m;
+      env.Layer.emit_down ev;
+      hand_off t
     | Event.D_cast m ->
       Queue.push m t.pending;
       if have_token t then drain t else request_token t
@@ -183,7 +193,7 @@ let create (_ : Params.t) env =
            straight through; only early arrivals are buffered. *)
         if gseq = t.next_deliver && Hashtbl.length t.buffer = 0 then begin
           t.next_deliver <- gseq + 1;
-          env.Layer.emit_up (Event.U_cast (rank, m, meta))
+          env.Layer.emit_up ev
         end
         else begin
           Hashtbl.replace t.buffer gseq (rank, m, meta);

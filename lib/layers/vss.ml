@@ -44,9 +44,9 @@ let rank_of_origin t origin =
   | None -> -1
   | Some v -> Option.value (View.rank_of v (Addr.endpoint origin)) ~default:(-1)
 
-let accept_data t ~origin ~seq ~rank m meta =
+let accept_data t ~origin ~seq ~rank m meta ev =
   let rank = if rank >= 0 then rank else rank_of_origin t origin in
-  Delivery_log.accept t.log ~origin ~seq ~rank m meta
+  Delivery_log.accept t.log ~origin ~seq m (Delivery_log.cast_upcall ev ~rank m meta)
 
 let push_copies = Delivery_log.push_copies
 let pop_copies = Delivery_log.pop_copies
@@ -130,7 +130,7 @@ let create (_ : Params.t) env =
           | Some ex -> List.exists (fun e -> Addr.endpoint_id e = origin) ex.ex_failed
           | None -> false
         in
-        if not straggler then accept_data t ~origin ~seq ~rank m meta
+        if not straggler then accept_data t ~origin ~seq ~rank m meta ev
       end
       else if kind = k_app_send then env.Layer.emit_up (Event.U_send (rank, m, meta))
       else if kind = k_state then begin
@@ -138,7 +138,9 @@ let create (_ : Params.t) env =
         let copies = pop_copies m in
         List.iter
           (fun (o, s, p) ->
-             accept_data t ~origin:o ~seq:s ~rank:(rank_of_origin t o) (Msg.create p) [])
+             let copy = Msg.create p in
+             Delivery_log.accept t.log ~origin:o ~seq:s copy
+               (Event.U_cast (rank_of_origin t o, copy, [])))
           copies;
         match t.exchange with
         | Some ex when same_failed failed ex.ex_failed ->

@@ -17,7 +17,7 @@ type histogram = {
   bounds : float array;      (* strictly increasing upper bounds *)
   buckets : int array;       (* length bounds + 1; last is overflow *)
   mutable h_count : int;
-  mutable h_sum : float;
+  h_sum : float array;       (* one cell: a float array stores it unboxed *)
 }
 
 type instrument =
@@ -71,7 +71,7 @@ let histogram ?(buckets = default_latency_buckets) t name =
         bounds = Array.copy buckets;
         buckets = Array.make (n + 1) 0;
         h_count = 0;
-        h_sum = 0.0 }
+        h_sum = [| 0.0 |] }
     in
     Hashtbl.replace t.instruments name (Histogram h);
     h
@@ -100,19 +100,21 @@ let gauge_value g = g.value
 
 (* --- histogram operations --- *)
 
+(* Linear scan: bucket arrays are tiny (default 8) and the common
+   case lands early. *)
+let rec slot (bounds : float array) (v : float) i =
+  if i >= Array.length bounds || v <= bounds.(i) then i else slot bounds v (i + 1)
+
+(* Allocates nothing: no closure for the scan, no box for the sum. *)
 let observe h v =
   h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum +. v;
-  let n = Array.length h.bounds in
-  (* Linear scan: bucket arrays are tiny (default 8) and the common
-     case lands early. *)
-  let rec slot i = if i >= n || v <= h.bounds.(i) then i else slot (i + 1) in
-  let i = slot 0 in
+  h.h_sum.(0) <- h.h_sum.(0) +. v;
+  let i = slot h.bounds v 0 in
   h.buckets.(i) <- h.buckets.(i) + 1
 
 let observations h = h.h_count
 
-let sum h = h.h_sum
+let sum h = h.h_sum.(0)
 
 let bucket_counts h = Array.copy h.buckets
 
@@ -126,7 +128,7 @@ let reset t =
        | Gauge g -> g.value <- 0.0
        | Histogram h ->
          h.h_count <- 0;
-         h.h_sum <- 0.0;
+         h.h_sum.(0) <- 0.0;
          Array.fill h.buckets 0 (Array.length h.buckets) 0)
     t.instruments
 
@@ -154,7 +156,7 @@ let histogram_json h =
   in
   Json.Obj
     [ ("count", Json.Int h.h_count);
-      ("sum", Json.Float h.h_sum);
+      ("sum", Json.Float h.h_sum.(0));
       ("buckets", Json.List buckets) ]
 
 let to_json t =
@@ -178,7 +180,7 @@ let pp ppf t =
        | Counter c -> Format.fprintf ppf "%-40s %d@." name c.count
        | Gauge g -> Format.fprintf ppf "%-40s %s@." name (Json.to_string (gauge_json g.value))
        | Histogram h ->
-         Format.fprintf ppf "%-40s count=%d sum=%g@." name h.h_count h.h_sum;
+         Format.fprintf ppf "%-40s count=%d sum=%g@." name h.h_count h.h_sum.(0);
          Array.iteri
            (fun i n ->
               if n > 0 then

@@ -1,5 +1,6 @@
-(* The per-stack event queue (Section 3's event-queue scheduling
-   model): a growable circular array. Every layer crossing passes
+(* A ring of the per-stack event queue (Section 3's event-queue
+   scheduling model; Stack keeps one for the order and one per kind of
+   event): a growable circular array. Every layer crossing passes
    through it, so push and pop allocate nothing once the ring has
    reached the stack's steady depth. A popped slot is overwritten with
    [dummy] so the ring keeps no reference to a processed event. *)

@@ -1,6 +1,6 @@
-(** The per-stack event queue: a FIFO over a growable circular array
-    whose push and pop allocate nothing once it has grown to the
-    stack's steady depth. *)
+(** A ring of the per-stack event queue: a FIFO over a growable
+    circular array whose push and pop allocate nothing once it has
+    grown to the stack's steady depth. *)
 
 type 'a t
 

@@ -279,6 +279,53 @@ let test_truncated_header_counted () =
   Alcotest.(check (list string)) "no registry: next event processed" [ "whole" ]
     (short_then_whole ())
 
+(* --- the cost of a crossing ---
+
+   Section 10 prices a layered stack by the indirect call made at each
+   layer boundary. Here a crossing is a push and a pop on the stack's
+   event queue, and it must allocate nothing: an event sent through
+   [k] layers that pass it on as they got it costs the same minor
+   words whatever [k]. Boxing the event into a queue item on each
+   crossing costs about 3 words per layer. *)
+
+let forwarding_stack k =
+  let fwd (_ : Params.t) env = Layer.passthrough ~name:"FWD" env in
+  Stack.create ~engine:(Horus_sim.Engine.create ()) ~endpoint:(Addr.endpoint 0)
+    ~group:(Addr.group 0) ~prng:(Horus_util.Prng.create 1)
+    ~transport:{ Layer.xmit = (fun ~dsts:_ _ -> ()) }
+    ~rendezvous:Layer.null_rendezvous ~metrics:(Metrics.create ()) ~to_app:ignore
+    ~to_below:ignore
+    (List.init k (fun _ -> ("FWD", Params.empty, fwd)))
+
+(* Minor words per event, half of them sent down from the top and half
+   injected at the bottom, through [k] forwarding layers. *)
+let words_per_event k =
+  let stack = forwarding_stack k in
+  let down = Event.D_cast (Msg.create "down") in
+  let up = Event.U_cast (0, Msg.create "up", []) in
+  let run n =
+    for _ = 1 to n do
+      Stack.down stack down;
+      Stack.inject_up stack up
+    done
+  in
+  (* The queue's rings grow to their steady size here. *)
+  run 100;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  run n;
+  (Gc.minor_words () -. before) /. float_of_int (2 * n)
+
+let test_crossing_allocates_nothing () =
+  let shallow = words_per_event 1 in
+  let deep = words_per_event 8 in
+  Printf.printf "minor words per event: 1 layer %.2f, 8 layers %.2f\n" shallow deep;
+  if deep -. shallow > 0.5 then
+    Alcotest.failf
+      "an event through 8 forwarding layers allocates %.2f minor words, through 1 %.2f: \
+       a crossing allocates"
+      deep shallow
+
 let () =
   Alcotest.run "hcpi"
     [ ( "coverage",
@@ -289,4 +336,7 @@ let () =
             test_lost_message_upcall ] );
       ( "reject",
         [ Alcotest.test_case "truncated header counted, queue goes on" `Quick
-            test_truncated_header_counted ] ) ]
+            test_truncated_header_counted ] );
+      ( "crossing",
+        [ Alcotest.test_case "minor words do not grow with depth" `Quick
+            test_crossing_allocates_nothing ] ) ]

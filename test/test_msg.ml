@@ -81,17 +81,17 @@ let test_msg_copy_independent () =
 let test_msg_copy_truncated () =
   let m = Msg.create "0123456789" in
   Msg.push_u16 m 0xbeef;
-  let off, _ = Msg.mark m in
-  Msg.restore m (off, 8);
+  let off = Msg.offset m in
+  Msg.restore m ~off ~len:8;
   let c = Msg.copy m in
   Alcotest.(check bool) "equal to the original" true (Msg.equal m c);
   Alcotest.(check int) "header" 0xbeef (Msg.pop_u16 c);
   Alcotest.(check string) "payload" "012345" (Msg.to_string c);
-  Msg.restore c (off, 8);
+  Msg.restore c ~off ~len:8;
   Alcotest.(check bool) "mark restores on the copy" true (Msg.equal m c);
   Msg.push_u32 c 7;
   Msg.append c (Bytes.of_string "tail");
-  Msg.restore m (off, 12);
+  Msg.restore m ~off ~len:12;
   Alcotest.(check string) "original untouched, slack included" "\xbe\xef0123456789"
     (Msg.to_string m);
   Msg.push_u8 m 1;
